@@ -190,56 +190,78 @@ def walsh_on_grid(a: WalshMatrix, n: int, q: int) -> np.ndarray:
     return values
 
 
-def _cell_column(r: np.ndarray, base: int, q: int, j: int) -> np.ndarray:
-    """Values W_n(cell j) for all n < N^q, as a Kronecker product of columns."""
-    kdig = digits(j, base, pad_to=q).digits[::-1]
-    return reduce(np.kron, [r[:, kdig[t]] for t in reversed(range(q))])
+def _width(base: int, q: int, limit: int = 2**53) -> int:
+    """N^q, checking q >= 1 and N^q <= limit.
+
+    The default limit keeps every cell index exact in a double; dense
+    N^q x N^q matrices are limited to MAX_GRID.
+    """
+    if q < 1:
+        raise ValidationError(f"resolution q must be at least 1, got {q}")
+    if base**q > limit:
+        raise ValidationError(f"N^q = {base}^{q} exceeds the limit of {limit} cells")
+    return base**q
+
+
+def _kernel_product(a: WalshMatrix, q: int, jx, jt):
+    """Kernel sum for cell indices jx, jt (ints or integer arrays).
+
+    It is the product over their q base-N digits of one entry of the
+    N x N table ``R^T conj(R)``, where row i of R holds the values of m_i.
+    """
+    r = scaled_rows(a)
+    table = r.T @ np.conj(r)
+    value = 1
+    for _ in range(q):
+        value = value * table[jx % a.n, jt % a.n]
+        jx, jt = jx // a.n, jt // a.n
+    return value
 
 
 def dirichlet_kernel(a: WalshMatrix, q: int, x: float, t: float):
     """Sum over n < N^q of W_n(x) * conj(W_n(t)), computed directly.
 
+    The sum factors over the base-N digits of n (see ``_kernel_product``).
     (The closed form is N^q when t lies in x's resolution-q cell and 0
-    otherwise; tests compare against it, this function only sums.)
+    otherwise; tests compare against it, this function does not assume it.)
     """
-    jx = cell_of(x, a.n, q).j
-    jt = cell_of(t, a.n, q).j
-    r = scaled_rows(a)
-    col_x = _cell_column(r, a.n, q, jx)
-    col_t = _cell_column(r, a.n, q, jt)
-    return (col_x * np.conj(col_t)).sum()
+    _width(a.n, q)
+    return _kernel_product(a, q, cell_of(x, a.n, q).j, cell_of(t, a.n, q).j)
 
 
 def grid_matrix(a: WalshMatrix, q: int) -> np.ndarray:
     """Dense (N^q, N^q) matrix with entry [n, j] = W_n on cell j."""
-    width = a.n**q
-    if width > MAX_GRID:
-        raise ValidationError(
-            f"grid matrix of size {width} exceeds the dense limit {MAX_GRID}"
-        )
+    _width(a.n, q, MAX_GRID)
     r = scaled_rows(a)
     power = reduce(np.kron, [r] * q)
     return power[digit_reversal_permutation(a.n, q), :]
 
 
 def gram_defect(a: WalshMatrix, q: int) -> float:
-    """Max deviation from identity of the Walsh Gram matrix at resolution q."""
-    m = grid_matrix(a, q)
-    gram = (m @ m.conj().T) / a.n**q
-    return float(np.abs(gram - np.eye(a.n**q)).max())
+    """Max deviation from identity of the Walsh Gram matrix at resolution q.
+
+    The Gram matrix is the q-fold Kronecker power of the N x N Gram
+    ``R conj(R)^T / N`` of the m_i, up to the digit-reversal order of its
+    rows and columns, which moves no entry on or off the diagonal.
+    """
+    width = _width(a.n, q, MAX_GRID)
+    r = scaled_rows(a)
+    gram = reduce(np.kron, [(r @ r.conj().T) / a.n] * q)
+    return float(np.abs(gram - np.eye(width)).max())
 
 
 def kernel_deviation(a: WalshMatrix, q: int, samples: int = 1000, seed: int = 0) -> float:
     """Max deviation of the kernel sum from its closed form, sampled randomly.
 
     The closed form is N^q when both points share a resolution-q cell and
-    0 otherwise.
+    0 otherwise.  The sample points are the rows of
+    ``default_rng(seed).random((samples, 2))``.
     """
-    rng = np.random.default_rng(seed)
-    width = a.n**q
-    worst = 0.0
-    for _ in range(samples):
-        x, t = rng.random(), rng.random()
-        expected = width if cell_of(x, a.n, q).j == cell_of(t, a.n, q).j else 0.0
-        worst = max(worst, float(abs(dirichlet_kernel(a, q, x, t) - expected)))
-    return worst
+    width = _width(a.n, q)
+    if samples < 1:
+        raise ValidationError(f"samples must be at least 1, got {samples}")
+    points = np.random.default_rng(seed).random((samples, 2))
+    cells = np.minimum((points * width).astype(np.int64), width - 1)
+    jx, jt = cells[:, 0], cells[:, 1]
+    expected = np.where(jx == jt, float(width), 0.0)
+    return float(np.abs(_kernel_product(a, q, jx, jt) - expected).max())

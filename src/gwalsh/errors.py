@@ -80,9 +80,10 @@ class DegenerateEliminationError(NumericError):
 
 
 class NoConvergenceError(NumericError):
-    """Numeric solver exhausted its restart budget.
+    """Numeric companion solve produced no matrix certified within tolerance.
 
-    Carries ``best_residual``, the smallest residual seen across restarts.
+    Carries ``best_residual``, the worst constraint residual of the
+    rejected candidate.
     """
 
     def __init__(self, message: str, best_residual: float = float("inf")):

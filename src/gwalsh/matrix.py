@@ -101,7 +101,7 @@ def validate(entries, tol: float = DEFAULT_EXTERNAL_TOL) -> WalshMatrix:
     within ``tol`` of them.  Raises :class:`BadDimensionError`,
     :class:`BadFirstRowError` or :class:`NotUnitaryError` otherwise.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
     arr = np.asarray(entries)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -116,7 +116,7 @@ def validate(entries, tol: float = DEFAULT_EXTERNAL_TOL) -> WalshMatrix:
 
     first = constant_row(n)
     first_dev = float(np.abs(arr[0] - first).max())
-    if first_dev > tol:
+    if not first_dev <= tol:
         raise BadFirstRowError(
             f"first row deviates from 1/sqrt({n}) by {first_dev:.3e} (tol {tol:.3e})"
         )
@@ -124,10 +124,10 @@ def validate(entries, tol: float = DEFAULT_EXTERNAL_TOL) -> WalshMatrix:
 
     gram = arr.conj().T @ arr
     defect = float(np.abs(gram - np.eye(n)).max())
-    if defect > tol:
+    if not defect <= tol:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds tol {tol:.3e}")
     row_sums = np.abs(arr[1:].sum(axis=1))
-    if row_sums.size and float(row_sums.max()) > tol:
+    if row_sums.size and not float(row_sums.max()) <= tol:
         raise NotUnitaryError(
             f"row {1 + int(row_sums.argmax())} sums to {row_sums.max():.3e}, "
             f"not 0 within tol {tol:.3e}"

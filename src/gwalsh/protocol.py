@@ -15,13 +15,15 @@ after two rounds, which carries a four-message exchange:
     w3 = analysis_A(w2)   (Alice to Bob)
     f' = synthesis_B(w3)  (Bob recovers the signal)
 
-For a real 3x3 matrix the companion condition leaves a one-parameter
-family, solved in closed form by :func:`solve_companion`; for other
-sizes (or complex entries) :func:`solve_companion_numeric` runs a
-seeded least-squares descent on the full constraint system.  Alice
-publishes her constraint rows only after scaling each by a random
-nonzero factor (:func:`mask_constraints`), which leaves the solution
-set unchanged.
+The non-constant rows of a companion are exactly ``C A[1:]`` with C a
+Hermitian unitary matrix.  For a real 3x3 matrix this leaves a
+one-parameter family, solved in closed form by :func:`solve_companion`;
+for any size (or complex entries) :func:`solve_companion_numeric` builds
+a seeded reflection C and certifies the result.  :func:`mask_constraints`
+scales each pairing equation by a random nonzero factor, which leaves
+the solution set unchanged.  The masking hides nothing: every equation
+carries two rows of A, each up to that factor, so ``A[1:]`` can be read
+back from the published system up to sign.
 
 Exchange messages pass through a channel (in-memory or a directory of
 files) in the CSV wire formats of :mod:`gwalsh.transform`, so each step
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (
     BaseMismatchError,
@@ -284,87 +285,46 @@ def solve_companion_numeric(
     masked: MaskedConstraintSystem | None = None,
     seed: int = 0,
     tol: float = 1e-10,
-    exclude_trivial: bool = True,
-    max_restarts: int = 24,
 ) -> WalshMatrix:
-    """Seeded least-squares solve of the full companion constraint system.
+    """Seeded companion of ``a`` of any size, built and then certified.
 
-    The residual stacks the unit-row, zero-sum and row-orthogonality
-    constraints with the pairing equations (taken from ``masked`` when
-    given, else derived unmasked from ``a``).  Starts are drawn from
-    ``numpy.random.default_rng(seed)``; the first iterate whose residual
-    is at most ``tol`` everywhere is certified and returned.  With
-    ``exclude_trivial`` the trivial solution is rejected by restarting
-    whenever the Frobenius distance to ``a`` falls below 0.1.  Complex
-    matrices are handled by splitting unknowns into real and imaginary
-    parts (the pairing equations then conjugate the second slot and are
-    always derived from ``a``).
+    Every companion has non-constant rows ``C A[1:]`` with C Hermitian
+    and unitary.  This takes the reflection ``C = I - 2 v v^H`` for one
+    unit vector v from ``default_rng(seed)`` (complex when ``a`` is), so
+    B is at Frobenius distance 2 from ``a``.  B is certified against
+    ``tol``: orthonormal zero-sum rows, ``B A^H`` Hermitian outside row
+    and column 0, and the equations of ``masked`` when given.  A failed
+    certification raises :class:`NoConvergenceError` with the worst
+    residual.
     """
     n = a.n
     if masked is not None and masked.n != n:
         raise DimensionMismatchError(f"masked system has n={masked.n}, matrix has n={n}")
-    is_complex = not a.is_real
-    if masked is not None and is_complex:
+    if masked is not None and not a.is_real:
         raise ValidationError("masked systems carry real coefficients; "
                               "complex matrices derive pairing equations directly")
-    rows = n - 1
-    dim = rows * n * (2 if is_complex else 1)
-    masked_rows = None if masked is None else _masked_rows(masked, n)
-    entries = a.entries
-
-    def unpack(x: np.ndarray) -> np.ndarray:
-        if is_complex:
-            return x[: rows * n].reshape(rows, n) + 1j * x[rows * n :].reshape(rows, n)
-        return x.reshape(rows, n)
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        b = unpack(x)
-        parts = [(np.abs(b) ** 2).sum(axis=1) - 1.0]
-        zero_sum = b.sum(axis=1)
-        parts.append(np.real(zero_sum))
-        if is_complex:
-            parts.append(np.imag(zero_sum))
-        for i in range(rows):
-            for j in range(i + 1, rows):
-                ortho = (b[i] * b[j].conj()).sum()
-                parts.append(np.atleast_1d(np.real(ortho)))
-                if is_complex:
-                    parts.append(np.atleast_1d(np.imag(ortho)))
-        if masked_rows is not None:
-            for coeff, rhs in masked_rows:
-                parts.append(np.atleast_1d((coeff * b).sum() - rhs))
-        else:
-            # complex entries need the diagonal pairs too: the row-frame
-            # matrix must be Hermitian, so <row_l of B, row_l of A> is real
-            for l in range(1, n):
-                for k in range(l if is_complex else l + 1, n):
-                    pairing = (b[l - 1] * entries[k].conj()).sum() - (
-                        entries[l] * b[k - 1].conj()
-                    ).sum()
-                    if k > l:
-                        parts.append(np.atleast_1d(np.real(pairing)))
-                    if is_complex:
-                        parts.append(np.atleast_1d(np.imag(pairing)))
-        return np.concatenate([np.atleast_1d(p) for p in parts])
-
     rng = np.random.default_rng(seed)
-    best = math.inf
-    for _ in range(max_restarts):
-        x0 = rng.standard_normal(dim) / math.sqrt(n)
-        result = least_squares(residuals, x0, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        residual = float(np.abs(residuals(result.x)).max())
-        best = min(best, residual)
-        if residual > tol:
-            continue
-        b_rows = unpack(result.x)
-        full = np.vstack([constant_row(n).astype(b_rows.dtype), b_rows])
-        if exclude_trivial and float(np.linalg.norm(full - entries)) < 0.1:
-            continue
-        return validate(full, tol=max(DEFAULT_EXTERNAL_TOL, 10 * n * tol))
-    raise NoConvergenceError(
-        f"no companion found in {max_restarts} restarts (best residual {best:.3e})",
-        best_residual=best,
-    )
+    v = rng.standard_normal(n - 1)
+    if not a.is_real:
+        v = v + 1j * rng.standard_normal(n - 1)
+    v /= np.linalg.norm(v)
+    rows = a.entries[1:]
+    b_rows = rows - 2 * np.outer(v, v.conj() @ rows)
+    cross = b_rows @ rows.conj().T
+    residuals = [
+        np.abs(b_rows @ b_rows.conj().T - np.eye(n - 1)).max(),
+        np.abs(b_rows.sum(axis=1)).max(),
+        np.abs(cross - cross.conj().T).max(),
+    ]
+    if masked is not None:
+        residuals += [abs((coeff * b_rows).sum() - rhs) for coeff, rhs in _masked_rows(masked, n)]
+    residual = float(np.max(residuals))
+    if not residual <= tol:
+        raise NoConvergenceError(
+            f"companion residual {residual:.3e} exceeds tol {tol:.3e}", best_residual=residual
+        )
+    full = np.vstack([constant_row(n).astype(b_rows.dtype), b_rows])
+    return validate(full, tol=max(DEFAULT_EXTERNAL_TOL, 10 * n * tol))
 
 
 # ---------------------------------------------------------------------------

@@ -215,8 +215,13 @@ def _values_from_text(text: str, kind: str) -> tuple[int, int, np.ndarray]:
         or not head[4].startswith("q=")
     ):
         raise ValidationError(f"bad header for a gwalsh {kind} file: {lines[0]!r}")
-    base = int(head[3][2:])
-    q = int(head[4][2:])
+    try:
+        base = int(head[3][2:])
+        q = int(head[4][2:])
+    except ValueError:
+        raise ValidationError(f"non-integer N or q in header: {lines[0]!r}") from None
+    if base < 2 or q < 0:
+        raise ValidationError(f"header needs N >= 2 and q >= 0: {lines[0]!r}")
     values = []
     for line in lines[1:]:
         parts = line.split(",")
@@ -234,6 +239,8 @@ def _values_from_text(text: str, kind: str) -> tuple[int, int, np.ndarray]:
         raise ValidationError(
             f"header declares {base**q} values, file contains {arr.shape[0]}"
         )
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"non-finite value in a gwalsh {kind} file")
     return base, q, arr
 
 

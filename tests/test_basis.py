@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from gwalsh import (
     BadRowError,
     DigitOverflowError,
     OutOfDomainError,
+    ValidationError,
     digit_reversal_permutation,
     digits,
     dirichlet_kernel,
@@ -21,7 +24,46 @@ from gwalsh import (
     walsh_eval,
     walsh_on_grid,
 )
-from gwalsh.basis import cell_of, digit_length
+from gwalsh.basis import cell_of, digit_length, scaled_rows
+
+
+def dense_gram_defect(a, q):
+    """Oracle: deviation from I of the Gram matrix of the dense grid matrix."""
+    m = grid_matrix(a, q)
+    gram = (m @ m.conj().T) / a.n**q
+    return float(np.abs(gram - np.eye(a.n**q)).max())
+
+
+def kron_kernel(a, q, x, t):
+    """Oracle: the kernel sum over all n < N^q of Kronecker-product columns."""
+    r = scaled_rows(a)
+
+    def column(j):
+        kdig = digits(j, a.n, pad_to=q).digits[::-1]
+        return reduce(np.kron, [r[:, kdig[i]] for i in reversed(range(q))])
+
+    col_x = column(cell_of(x, a.n, q).j)
+    col_t = column(cell_of(t, a.n, q).j)
+    return (col_x * np.conj(col_t)).sum()
+
+
+def loop_kernel_deviation(a, q, samples, seed):
+    """Oracle: one scalar draw pair and one Kronecker kernel sum per sample."""
+    rng = np.random.default_rng(seed)
+    width = a.n**q
+    worst = 0.0
+    for _ in range(samples):
+        x, t = rng.random(), rng.random()
+        expected = width if cell_of(x, a.n, q).j == cell_of(t, a.n, q).j else 0.0
+        worst = max(worst, float(abs(kron_kernel(a, q, x, t) - expected)))
+    return worst
+
+
+ORACLE_MATRICES = [
+    (base, complex_entries)
+    for base in (2, 3, 4, 5)
+    for complex_entries in (False, True)
+]
 
 
 class TestDigits:
@@ -234,3 +276,60 @@ def test_kernel_cell_indicator_on_grid(nx, nt):
     t = (2 * jt + 1) / (2 * width)
     expected = width if jx == jt else 0.0
     assert abs(dirichlet_kernel(a, q, x, t) - expected) <= 1e-9
+
+
+class TestAgainstDenseOracles:
+    @pytest.mark.parametrize("base,complex_entries", ORACLE_MATRICES)
+    def test_gram_defect(self, base, complex_entries):
+        for seed in range(3):
+            a = generate_random(base, seed=seed, complex_entries=complex_entries)
+            for q in (1, 2, 3):
+                assert abs(gram_defect(a, q) - dense_gram_defect(a, q)) <= 1e-12
+
+    @pytest.mark.parametrize("base,complex_entries", ORACLE_MATRICES)
+    def test_dirichlet_kernel(self, base, complex_entries):
+        rng = np.random.default_rng(base)
+        a = generate_random(base, seed=base, complex_entries=complex_entries)
+        for q in (1, 2, 3):
+            for _ in range(30):
+                x, t = rng.random(), rng.random()
+                if rng.random() < 0.5:  # half the pairs share a cell
+                    t = (cell_of(x, base, q).j + t) / base**q
+                value = dirichlet_kernel(a, q, x, t)
+                assert abs(value - kron_kernel(a, q, x, t)) <= 1e-12
+
+    @pytest.mark.parametrize("base,complex_entries", ORACLE_MATRICES)
+    def test_kernel_deviation(self, base, complex_entries):
+        a = generate_random(base, seed=base + 10, complex_entries=complex_entries)
+        for q in (1, 2, 3):
+            fast = kernel_deviation(a, q, samples=150, seed=q)
+            assert abs(fast - loop_kernel_deviation(a, q, 150, seed=q)) <= 1e-12
+
+
+class TestResolutionBounds:
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_q_below_one_rejected(self, matrix_a, q):
+        with pytest.raises(ValidationError):
+            grid_matrix(matrix_a, q)
+        with pytest.raises(ValidationError):
+            gram_defect(matrix_a, q)
+        with pytest.raises(ValidationError):
+            dirichlet_kernel(matrix_a, q, 0.1, 0.2)
+        with pytest.raises(ValidationError):
+            kernel_deviation(matrix_a, q)
+
+    def test_no_samples_rejected(self, matrix_a):
+        with pytest.raises(ValidationError):
+            kernel_deviation(matrix_a, 2, samples=0)
+
+    def test_cells_beyond_two_to_the_53_rejected(self, matrix_a):
+        q = 34  # 3^33 < 2^53 < 3^34
+        with pytest.raises(ValidationError):
+            kernel_deviation(matrix_a, q, samples=10)
+        with pytest.raises(ValidationError):
+            dirichlet_kernel(matrix_a, q, 0.1, 0.2)
+        with pytest.raises(ValidationError):
+            gram_defect(matrix_a, q)
+        with pytest.raises(ValidationError):
+            grid_matrix(matrix_a, q)
+        assert np.isfinite(kernel_deviation(matrix_a, q - 1, samples=10))

@@ -155,6 +155,53 @@ class TestKernelCheck:
         assert report["max_deviation"] <= 1e-9
 
 
+class TestCheckBoundaries:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--q", "0"],
+            ["kernel-check", "--q", "0"],
+            ["kernel-check", "--q", "3", "--samples", "0"],
+            ["kernel-check", "--q", "40"],  # 3^40 cells exceed 2^53
+        ],
+        ids=["verify-q0", "kernel-check-q0", "samples0", "cells-over-2^53"],
+    )
+    def test_rejected_with_exit_two(self, tmp_path, matrix_a_file, argv):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--matrix", matrix_a_file, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# gwalsh signal N=x q=1\n0\n1\n",
+            "# gwalsh signal N=1 q=0\n0\n",
+            "# gwalsh signal N=0 q=0\n0\n",
+            "# gwalsh signal N=3 q=-1\n0\n",
+            "# gwalsh signal N=3 q=1\n0\nnan\n1\n",
+        ],
+        ids=["N=x", "N=1", "N=0", "q=-1", "nan"],
+    )
+    def test_encode_exit_two(self, tmp_path, matrix_a_file, text):
+        signal = tmp_path / "f.csv"
+        signal.write_text(text)
+        out = tmp_path / "c.csv"
+        rc = main(["encode", "--matrix", matrix_a_file, "--signal", str(signal),
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_decode_non_finite_exit_two(self, tmp_path, matrix_a_file):
+        coeffs = tmp_path / "c.csv"
+        coeffs.write_text("# gwalsh coeffs N=3 q=1\n0\ninf\n1\n")
+        out = tmp_path / "g.csv"
+        rc = main(["decode", "--matrix", matrix_a_file, "--in", str(coeffs), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+
 class TestVerify:
     def test_reference_matrix_passes(self, tmp_path, matrix_a_file):
         out = tmp_path / "report.json"

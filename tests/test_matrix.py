@@ -29,6 +29,14 @@ class TestValidate:
         assert m.is_real
         assert m.unitarity_defect() <= 1e-10
 
+    def test_nan_entries_rejected(self):
+        with pytest.raises((NotUnitaryError, BadFirstRowError)):
+            validate(np.full((2, 2), np.nan), tol=1e-10)
+        entries = np.array(rv.MATRIX_A, dtype=float)
+        entries[2, 1] = np.nan
+        with pytest.raises(NotUnitaryError):
+            validate(entries, tol=1e-10)
+
     def test_identity_rejected_on_first_row(self):
         with pytest.raises(BadFirstRowError):
             validate(np.eye(2), tol=1e-10)

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -247,9 +250,30 @@ class TestSolveCompanionNumeric:
         b = solve_companion_numeric(matrix_a, None, seed=3, tol=1e-10)
         assert pairing_check_rows(matrix_a, b, tol=1e-8).holds
 
-    def test_exclusion_off_still_certifies(self, matrix_a):
-        b = solve_companion_numeric(matrix_a, None, seed=0, tol=1e-10, exclude_trivial=False)
-        assert pairing_check_rows(matrix_a, b, tol=1e-8).holds
+    def test_companion_is_never_a_itself(self, matrix_a):
+        for seed in range(20):
+            b = solve_companion_numeric(matrix_a, None, seed=seed, tol=1e-10)
+            assert pairing_check_rows(matrix_a, b, tol=1e-8).holds
+            assert np.linalg.norm(b.entries - matrix_a.entries) >= 0.1
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_every_base(self, n, complex_entries):
+        a = generate_random(n, seed=40 + n, complex_entries=complex_entries)
+        masked = None if complex_entries else mask_constraints(a, mask_seed=n)
+        b = solve_companion_numeric(a, masked, seed=n, tol=1e-10)
+        assert b.is_real is not complex_entries
+        assert pairing_check_rows(a, b, tol=1e-12).holds
+        assert pairing_check_basis(a, b, q=2, tol=1e-12).holds
+        s = random_signal(n, 2, seed=n, complex_values=complex_entries)
+        assert run_exchange(a, b, s).max_error <= 1e-12
+
+    def test_masked_system_of_another_matrix_fails(self):
+        a = generate_random(4, seed=6)
+        other = mask_constraints(generate_random(4, seed=7), mask_seed=2)
+        with pytest.raises(NoConvergenceError) as info:
+            solve_companion_numeric(a, other, seed=1, tol=1e-10)
+        assert info.value.best_residual > 1e-3
 
     def test_base_four(self):
         a = generate_random(4, seed=6)
@@ -269,7 +293,7 @@ class TestSolveCompanionNumeric:
 
     def test_no_convergence_reports_best_residual(self, matrix_a):
         with pytest.raises(NoConvergenceError) as info:
-            solve_companion_numeric(matrix_a, None, seed=0, tol=0.0, max_restarts=2)
+            solve_companion_numeric(matrix_a, None, seed=0, tol=0.0)
         assert info.value.best_residual < 1e-6  # solver got close, bar was impossible
 
     def test_deterministic(self, matrix_a):
@@ -367,3 +391,10 @@ class TestRunExchange:
         transcript = run_exchange(a, b, s)
         assert transcript.max_error <= 1e-7
         assert not transcript.pairing_violated
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, gwalsh; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -235,6 +235,25 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             signal_from_text("# gwalsh signal N=2 q=0\nhello\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# gwalsh signal N=x q=1\n0\n1\n",
+            "# gwalsh signal N=2 q=y\n0\n1\n",
+            "# gwalsh signal N=1 q=0\n0\n",
+            "# gwalsh signal N=0 q=0\n0\n",
+            "# gwalsh signal N=2 q=-1\n0\n",
+            "# gwalsh signal N=2 q=1\nnan\n1\n",
+            "# gwalsh signal N=2 q=1\n0\ninf,0\n",
+        ],
+        ids=["N=x", "q=y", "N=1", "N=0", "q=-1", "nan", "complex-inf"],
+    )
+    def test_malformed_header_or_value(self, text):
+        with pytest.raises(ValidationError):
+            signal_from_text(text)
+        with pytest.raises(ValidationError):
+            coefficients_from_text(text.replace("signal", "coeffs"))
+
 
 @settings(max_examples=30)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=8, max_size=8))
