@@ -218,10 +218,11 @@ def row_inner(a: WalshMatrix, b: WalshMatrix, l: int, k: int):
     return (b.entries[l] * np.conj(a.entries[k])).sum()
 
 
-def _entry_to_json(x):
-    if isinstance(x, complex) or np.iscomplexobj(x):
-        return [float(np.real(x)), float(np.imag(x))]
-    return float(x)
+def json_values(values: np.ndarray) -> list:
+    """``values.tolist()`` with each complex value as a [re, im] pair."""
+    if np.iscomplexobj(values):
+        return np.stack((values.real, values.imag), axis=-1).tolist()
+    return values.tolist()
 
 
 def _entry_from_json(x):
@@ -236,7 +237,7 @@ def matrix_to_dict(m: WalshMatrix) -> dict:
     return {
         "n": m.n,
         "tol": m.tol,
-        "entries": [[_entry_to_json(x) for x in row] for row in m.entries],
+        "entries": json_values(m.entries),
     }
 
 
@@ -245,11 +246,14 @@ def matrix_from_dict(d: dict, tol: float | None = None) -> WalshMatrix:
         raw = d["entries"]
     except (KeyError, TypeError):
         raise ValidationError("matrix JSON must contain an 'entries' field") from None
-    entries = [[_entry_from_json(x) for x in row] for row in raw]
-    if tol is None:
-        tol = float(d.get("tol", DEFAULT_EXTERNAL_TOL))
+    try:
+        entries = np.array([[_entry_from_json(x) for x in row] for row in raw])
+        declared = int(d["n"]) if "n" in d else None
+        tol = float(d.get("tol", DEFAULT_EXTERNAL_TOL)) if tol is None else tol
+    except (TypeError, ValueError):
+        raise ValidationError("matrix JSON entries, n and tol must be numbers") from None
     m = validate(entries, tol=tol)
-    if "n" in d and int(d["n"]) != m.n:
+    if declared is not None and declared != m.n:
         raise ValidationError(f"declared n={d['n']} does not match entries of size {m.n}")
     return m
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +54,7 @@ from .matrix import (
     RowPair,
     WalshMatrix,
     constant_row,
+    json_values,
     row_inner,
     validate,
 )
@@ -353,7 +355,13 @@ class DirectoryChannel:
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def put(self, name: str, text: str) -> None:
-        (self.directory / name).write_text(text)
+        # write a unique temp file, then rename: a reader sees the old or new message whole
+        tmp = self.directory / f".{name}.{os.urandom(8).hex()}.tmp"
+        try:
+            tmp.write_text(text)
+            tmp.replace(self.directory / name)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def get(self, name: str) -> str:
         return (self.directory / name).read_text()
@@ -404,26 +412,20 @@ def run_exchange(
 # ---------------------------------------------------------------------------
 
 
-def _seq_to_json(values: np.ndarray) -> list:
-    if np.iscomplexobj(values):
-        return [[float(x.real), float(x.imag)] for x in values]
-    return [float(x) for x in values]
-
-
 def _seq_from_json(raw) -> np.ndarray:
-    if raw and isinstance(raw[0], (list, tuple)):
-        return np.asarray([complex(x[0], x[1]) for x in raw])
-    return np.asarray([float(x) for x in raw])
+    values = np.asarray(raw, dtype=float)
+    # [re, im] pairs are viewed as complex, not summed, so -0.0 parts keep their sign
+    return values.view(complex)[:, 0] if values.ndim == 2 else values
 
 
 def transcript_to_dict(t: ExchangeTranscript) -> dict:
     return {
         "n": t.w1.base,
         "q": t.w1.q,
-        "w1": _seq_to_json(t.w1.coeffs),
-        "w2": _seq_to_json(t.w2.values),
-        "w3": _seq_to_json(t.w3.coeffs),
-        "recovered": _seq_to_json(t.recovered.values),
+        "w1": json_values(t.w1.coeffs),
+        "w2": json_values(t.w2.values),
+        "w3": json_values(t.w3.coeffs),
+        "recovered": json_values(t.recovered.values),
         "max_error": t.max_error,
         "pairing_violated": t.pairing_violated,
     }
@@ -454,17 +456,25 @@ def masked_system_to_list(m: MaskedConstraintSystem) -> list:
 
 
 def masked_system_from_list(raw, mask_seed: int | None = None) -> MaskedConstraintSystem:
+    if not isinstance(raw, list):
+        raise ValidationError("masked system JSON must be a list of equations")
     equations = []
     n = 0
     for item in raw:
-        coeffs = {str(k): float(v) for k, v in item["coeffs"].items()}
+        try:
+            coeffs = {str(k): float(v) for k, v in item["coeffs"].items()}
+            rhs = float(item.get("rhs", 0.0))
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise ValidationError(f"bad masked equation {item!r}") from None
+        if not np.isfinite([*coeffs.values(), rhs]).all():
+            raise ValidationError(f"non-finite value in masked equation {item!r}")
         for name in coeffs:
             try:
                 _, i, j = name.split("_")
                 n = max(n, int(i) + 1, int(j) + 1)
             except ValueError:
                 raise ValidationError(f"bad unknown name {name!r}") from None
-        equations.append(MaskedEquation(coeffs=coeffs, rhs=float(item.get("rhs", 0.0))))
+        equations.append(MaskedEquation(coeffs=coeffs, rhs=rhs))
     if n < 2:
         raise ValidationError("masked system names no unknowns")
     return MaskedConstraintSystem(n=n, equations=tuple(equations), mask_seed=mask_seed)

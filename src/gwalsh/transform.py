@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import digit_reversal_permutation, scaled_rows, walsh_on_grid
+from .basis import digit_length, digit_reversal_permutation, scaled_rows, walsh_on_grid
 from .errors import BaseMismatchError, ValidationError
 from .matrix import WalshMatrix
 
@@ -48,12 +48,8 @@ def _as_cells(values, base: int, q: int) -> np.ndarray:
 
 
 def _infer_q(base: int, length: int) -> int:
-    q = 0
-    width = 1
-    while width < length:
-        width *= base
-        q += 1
-    if width != length:
+    q = digit_length(length - 1, base)
+    if base**q != length:
         raise ValidationError(f"length {length} is not a power of base {base}")
     return q
 
@@ -186,20 +182,24 @@ def parseval_residual(a: WalshMatrix, s: Signal) -> float:
 _HEADER = "# gwalsh {kind} N={base} q={q}"
 
 
-def _format_value(x, digits: int | None) -> str:
-    def one(v: float) -> str:
-        return repr(float(v)) if digits is None else f"{float(v):.{digits}g}"
-
-    if np.iscomplexobj(x) or isinstance(x, complex):
-        return f"{one(np.real(x))},{one(np.imag(x))}"
-    return one(x)
-
-
 def _values_to_text(values: np.ndarray, kind: str, base: int, q: int,
                     digits: int | None = None) -> str:
-    lines = [_HEADER.format(kind=kind, base=base, q=q)]
-    lines.extend(_format_value(x, digits) for x in values)
-    return "\n".join(lines) + "\n"
+    field = "{!r}" if digits is None else f"{{:.{digits}g}}"
+    if np.iscomplexobj(values):
+        values = values.astype(complex, copy=False)  # so tolist() gives Python floats
+        lines = map(f"{field},{field}".format, values.real.tolist(), values.imag.tolist())
+    else:
+        lines = map(field.format, values.tolist())
+    return "\n".join([_HEADER.format(kind=kind, base=base, q=q), *lines]) + "\n"
+
+
+def _parse_value(line: str):
+    """One value line: a real number or a ``re,im`` pair."""
+    real, comma, imag = line.partition(",")
+    try:
+        return complex(float(real), float(imag)) if comma else float(real)
+    except ValueError:
+        raise ValidationError(f"bad value line: {line!r}") from None
 
 
 def _values_from_text(text: str, kind: str) -> tuple[int, int, np.ndarray]:
@@ -207,13 +207,8 @@ def _values_from_text(text: str, kind: str) -> tuple[int, int, np.ndarray]:
     if not lines:
         raise ValidationError("empty signal/coefficient file")
     head = lines[0].split()
-    if (
-        len(head) != 5
-        or head[:2] != ["#", "gwalsh"]
-        or head[2] != kind
-        or not head[3].startswith("N=")
-        or not head[4].startswith("q=")
-    ):
+    if len(head) != 5 or head[:3] != ["#", "gwalsh", kind] or (
+            head[3][:2], head[4][:2]) != ("N=", "q="):
         raise ValidationError(f"bad header for a gwalsh {kind} file: {lines[0]!r}")
     try:
         base = int(head[3][2:])
@@ -222,19 +217,11 @@ def _values_from_text(text: str, kind: str) -> tuple[int, int, np.ndarray]:
         raise ValidationError(f"non-integer N or q in header: {lines[0]!r}") from None
     if base < 2 or q < 0:
         raise ValidationError(f"header needs N >= 2 and q >= 0: {lines[0]!r}")
-    values = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        try:
-            if len(parts) == 1:
-                values.append(float(parts[0]))
-            elif len(parts) == 2:
-                values.append(complex(float(parts[0]), float(parts[1])))
-            else:
-                raise ValueError(line)
-        except ValueError:
-            raise ValidationError(f"bad value line: {line!r}") from None
-    arr = np.asarray(values)
+    body = lines[1:]
+    try:
+        arr = np.fromiter(map(float, body), dtype=float, count=len(body))
+    except ValueError:  # complex pairs, or a bad line to report
+        arr = np.asarray([_parse_value(line) for line in body])
     if arr.shape[0] != base**q:
         raise ValidationError(
             f"header declares {base**q} values, file contains {arr.shape[0]}"
@@ -292,9 +279,7 @@ def signal_from_digits(text: str, base: int) -> Signal:
     text = text.strip()
     if not text:
         raise ValidationError("empty inline signal")
-    values = []
-    for ch in text:
-        if not ch.isdigit():
-            raise ValidationError(f"inline signal character {ch!r} is not a digit")
-        values.append(float(ch))
-    return Signal.from_values(base=base, values=values)
+    if not text.isdecimal():  # the digits float() reads; isdigit() also passes '²'
+        bad = next(ch for ch in text if not ch.isdecimal())
+        raise ValidationError(f"inline signal character {bad!r} is not a digit")
+    return Signal.from_values(base=base, values=list(map(float, text)))

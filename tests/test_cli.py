@@ -202,6 +202,34 @@ class TestMalformedCsv:
         assert not out.exists()
 
 
+class TestMalformedMatrix:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"entries": 3},
+            {"entries": [[0.5, "x"], [0.5, -0.5]]},
+            {"n": "z", "entries": rv.MATRIX_A.tolist()},
+        ],
+        ids=["entries-int", "entry-str", "n-str"],
+    )
+    def test_encode_exit_two(self, tmp_path, payload):
+        matrix = tmp_path / "A.json"
+        matrix.write_text(json.dumps(payload))
+        out = tmp_path / "c.csv"
+        rc = main(["encode", "--matrix", str(matrix), "--signal-inline", "012",
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+
+def test_superscript_inline_signal_exit_two(tmp_path, matrix_a_file):
+    out = tmp_path / "c.csv"
+    rc = main(["encode", "--matrix", matrix_a_file, "--signal-inline", "0\u00b22",
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 class TestVerify:
     def test_reference_matrix_passes(self, tmp_path, matrix_a_file):
         out = tmp_path / "report.json"
@@ -250,6 +278,16 @@ class TestExchange:
         assert set(payload) == {
             "n", "q", "w1", "w2", "w3", "recovered", "max_error", "pairing_violated",
         }
+
+    def test_rerun_into_msg_dir_replaces_messages(self, tmp_path, matrix_a_file, signal_file):
+        msg_dir = tmp_path / "msgs"
+        args = ["exchange", "--matrix", matrix_a_file, "--r", "0.2", "--signal", signal_file,
+                "--msg-dir", str(msg_dir)]
+        assert main(args + ["--out", str(tmp_path / "t1.json")]) == 0
+        first = {p.name: p.read_bytes() for p in msg_dir.iterdir()}
+        assert main(args + ["--out", str(tmp_path / "t2.json")]) == 0
+        assert {p.name: p.read_bytes() for p in msg_dir.iterdir()} == first
+        assert sorted(first) == ["w1.csv", "w2.csv", "w3.csv"]
 
     def test_with_derived_partner(self, tmp_path, matrix_a_file, signal_file):
         out = tmp_path / "t.json"

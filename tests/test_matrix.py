@@ -19,7 +19,7 @@ from gwalsh import (
     save_matrix,
     validate,
 )
-from gwalsh.matrix import constant_row
+from gwalsh.matrix import constant_row, matrix_from_dict
 
 
 class TestValidate:
@@ -226,6 +226,22 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(ValidationError):
             load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"entries": 3},
+            {"entries": [[0.5, "x"], [0.5, -0.5]]},
+            {"n": "z", "entries": rv.MATRIX_A.tolist()},
+            {"tol": "loose", "entries": rv.MATRIX_A.tolist()},
+            {"entries": [[0.5, 0.5], [0.5]]},
+            {"entries": [[0.5, None], [0.5, -0.5]]},
+        ],
+        ids=["entries-int", "entry-str", "n-str", "tol-str", "ragged", "entry-null"],
+    )
+    def test_malformed_fields_raise_validation_error(self, payload):
+        with pytest.raises(ValidationError):
+            matrix_from_dict(payload)
 
     def test_wrong_declared_n(self, tmp_path):
         path = tmp_path / "m.json"

@@ -1,5 +1,7 @@
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from gwalsh import (
     DirectoryChannel,
     NoConvergenceError,
     NoRealSolutionError,
+    Signal,
     ValidationError,
     companion_family,
     generate_random,
@@ -26,6 +29,7 @@ from gwalsh import (
     validate,
 )
 from gwalsh.matrix import constant_row
+from gwalsh.protocol import masked_system_from_list
 from gwalsh.transform import read_coefficients, read_signal
 
 
@@ -238,6 +242,27 @@ class TestMaskConstraints:
         assert loaded.equations == masked.equations
 
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"coeffs": {"b_1_0": 1.0}},
+            [["b_1_0", 1.0]],
+            [{"rhs": 0.0}],
+            [{"coeffs": [["b_1_0", 1.0]]}],
+            [{"coeffs": {"b_1_0": "one"}}],
+            [{"coeffs": {"b_1_0": None}}],
+            [{"coeffs": {"b_1_0": float("nan")}}],
+            [{"coeffs": {"b_1_0": 1.0}, "rhs": float("inf")}],
+            3,
+        ],
+        ids=["dict-root", "list-item", "no-coeffs", "list-coeffs", "str-coeff",
+             "null-coeff", "nan-coeff", "inf-rhs", "int-root"],
+    )
+    def test_malformed_system_raises_validation_error(self, raw):
+        with pytest.raises(ValidationError):
+            masked_system_from_list(raw)
+
+
 class TestSolveCompanionNumeric:
     def test_certified_solution_from_masked_system(self, matrix_a):
         masked = mask_constraints(matrix_a, mask_seed=1)
@@ -350,6 +375,22 @@ class TestRunExchange:
         np.testing.assert_array_equal(w2.values, transcript.w2.values)
         assert (tmp_path / "msgs" / "w3.csv").exists()
 
+    def test_directory_channel_failed_write_keeps_old_message(self, tmp_path, monkeypatch):
+        channel = DirectoryChannel(tmp_path / "msgs")
+        channel.put("w1.csv", "first\n")
+        real_write_text = Path.write_text
+
+        def write_half_then_fail(path, text, *args, **kwargs):
+            real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError):
+            channel.put("w1.csv", "second message\n")
+        monkeypatch.undo()
+        assert channel.get("w1.csv") == "first\n"
+        assert [p.name for p in (tmp_path / "msgs").iterdir()] == ["w1.csv"]
+
     def test_masking_does_not_touch_exchange(self, matrix_a, signal_f):
         # masking only changes the published system; any seed yields a
         # companion, and every companion recovers the signal
@@ -367,6 +408,20 @@ class TestRunExchange:
         assert loaded.pairing_violated == transcript.pairing_violated
         np.testing.assert_array_equal(loaded.w1.coeffs, transcript.w1.coeffs)
         np.testing.assert_array_equal(loaded.recovered.values, transcript.recovered.values)
+
+    def test_complex_transcript_keeps_signed_zeros(self, tmp_path):
+        a = generate_random(2, seed=3, complex_entries=True)
+        signed = Signal(base=2, q=2, values=[complex(-0.0, -0.0), complex(-0.0, 1.0),
+                                             complex(2.5, -0.0), -1j])
+        transcript = replace(run_exchange(a, a, signed), w2=signed)
+        path = tmp_path / "t.json"
+        save_transcript(transcript, path)
+        loaded = load_transcript(path)
+        assert loaded.w2.values.dtype == np.complex128
+        assert loaded.w2.values.tobytes() == transcript.w2.values.tobytes()
+        assert loaded.recovered.values.tobytes() == transcript.recovered.values.tobytes()
+        save_transcript(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_base_two_any_pair_works(self):
         a = generate_random(2, seed=0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_values as rv
@@ -20,6 +20,7 @@ from gwalsh import (
     signal_from_digits,
 )
 from gwalsh.transform import (
+    _values_from_text,
     coefficients_from_text,
     coefficients_to_text,
     read_coefficients,
@@ -260,3 +261,148 @@ class TestSerialization:
 def test_text_round_trip_property(values):
     s = Signal.from_values(2, values)
     assert np.array_equal(signal_from_text(signal_to_text(s)).values, s.values)
+
+
+# ---------------------------------------------------------------------------
+# The per-value CSV codec that the whole-array one replaced, kept as an oracle:
+# the new codec must write the same bytes and parse text to the same arrays.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_format_value(x, digits):
+    def one(v):
+        return repr(float(v)) if digits is None else f"{float(v):.{digits}g}"
+
+    if np.iscomplexobj(x) or isinstance(x, complex):
+        return f"{one(np.real(x))},{one(np.imag(x))}"
+    return one(x)
+
+
+def _oracle_values_to_text(values, kind, base, q, digits=None):
+    lines = [f"# gwalsh {kind} N={base} q={q}"]
+    lines.extend(_oracle_format_value(x, digits) for x in values)
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_values_from_text(text, kind):
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValidationError("empty signal/coefficient file")
+    head = lines[0].split()
+    if (
+        len(head) != 5
+        or head[:2] != ["#", "gwalsh"]
+        or head[2] != kind
+        or not head[3].startswith("N=")
+        or not head[4].startswith("q=")
+    ):
+        raise ValidationError(f"bad header for a gwalsh {kind} file: {lines[0]!r}")
+    try:
+        base = int(head[3][2:])
+        q = int(head[4][2:])
+    except ValueError:
+        raise ValidationError(f"non-integer N or q in header: {lines[0]!r}") from None
+    if base < 2 or q < 0:
+        raise ValidationError(f"header needs N >= 2 and q >= 0: {lines[0]!r}")
+    values = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        try:
+            if len(parts) == 1:
+                values.append(float(parts[0]))
+            elif len(parts) == 2:
+                values.append(complex(float(parts[0]), float(parts[1])))
+            else:
+                raise ValueError(line)
+        except ValueError:
+            raise ValidationError(f"bad value line: {line!r}") from None
+    arr = np.asarray(values)
+    if arr.shape[0] != base**q:
+        raise ValidationError(
+            f"header declares {base**q} values, file contains {arr.shape[0]}"
+        )
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"non-finite value in a gwalsh {kind} file")
+    return base, q, arr
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e-5]
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64))
+
+
+@st.composite
+def _cell_arrays(draw):
+    q = draw(st.integers(0, 4))
+    real = np.array(draw(st.lists(_floats, min_size=2**q, max_size=2**q)), dtype=float)
+    if draw(st.booleans()):
+        imag = np.array(draw(st.lists(_floats, min_size=2**q, max_size=2**q)), dtype=float)
+        values = np.empty(2**q, dtype=complex)
+        values.real, values.imag = real, imag
+        return q, values
+    return q, real
+
+
+@settings(max_examples=300)
+@given(_cell_arrays(), st.sampled_from([None, *range(1, 18)]))
+def test_formatter_matches_per_value_oracle(cells, digits):
+    q, values = cells
+    assert signal_to_text(Signal(2, q, values), digits) == _oracle_values_to_text(
+        values, "signal", 2, q, digits)
+    assert coefficients_to_text(CoefficientVector(2, q, values), digits) == (
+        _oracle_values_to_text(values, "coeffs", 2, q, digits))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.clongdouble])
+def test_formatter_matches_oracle_for_other_dtypes(dtype):
+    values = np.array([0.1, -0.0, 1e-30, 3.0], dtype=dtype)
+    for digits in (None, 12):
+        assert signal_to_text(Signal(2, 2, values), digits) == _oracle_values_to_text(
+            Signal(2, 2, values).values, "signal", 2, 2, digits)
+
+
+_value_lines = st.one_of(
+    _floats.map(repr),
+    st.tuples(_floats, _floats).map(lambda p: f"{p[0]!r},{p[1]!r}"),
+    st.sampled_from(["", "   ", "\t", " 1.5 ", "-0.0", "-0.0,-0.0", " 1 , 2 ", "1,2,3",
+                     "1,", ",1", ",", "x", "1_0", "nan", "inf,0", "1e999", "0x1p3"]),
+    st.text(alphabet="0123456789.,-+e_ \t", max_size=8),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    base = draw(st.sampled_from([2, 3]))
+    q = draw(st.integers(0, 2))
+    count = base**q if draw(st.booleans()) else draw(st.integers(0, 9))
+    lines = draw(st.lists(_value_lines, min_size=count, max_size=count))
+    kind = draw(st.sampled_from(["signal", "coeffs"]))
+    header = draw(st.sampled_from([
+        f"# gwalsh {kind} N={base} q={q}",
+        f"  #\tgwalsh {kind}  N={base} q={q} ",
+        f"# gwalsh {kind} N={base} q={q} extra",
+        f"# gwalsh {kind} N=x q={q}",
+        f"# gwalsh {kind} N=1 q={q}",
+        f"# gwalsh {kind} N={base} q=-1",
+        f"#gwalsh {kind} N={base} q={q}",
+    ]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([header, *lines]) + draw(st.sampled_from(["", newline]))
+
+
+def _parse_outcome(parse, text, kind):
+    try:
+        base, q, arr = parse(text, kind)
+    except ValidationError as exc:
+        return "ValidationError", str(exc)
+    return base, q, arr.dtype.str, arr.tobytes()
+
+
+@settings(max_examples=500)
+@given(st.one_of(_csv_texts(), st.text(max_size=40)), st.sampled_from(["signal", "coeffs"]))
+@example("# gwalsh signal N=2 q=1\n1.5,-0.0\n\n  -0.0  \n", "signal")
+@example("# gwalsh signal N=2 q=1\n1,2,3\n4\n", "signal")
+@example("# gwalsh coeffs N=3 q=1\n-0.0\n5e-324\n-1.7976931348623157e+308\n", "coeffs")
+def test_parser_matches_per_line_oracle(text, kind):
+    assert _parse_outcome(_values_from_text, text, kind) == _parse_outcome(
+        _oracle_values_from_text, text, kind)
