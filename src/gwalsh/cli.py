@@ -109,10 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("kernel-check", help="compare the kernel sum to its closed form")
+    p = sub.add_parser("kernel-check", help="max |D(x,t)/N^q - [same cell]| over samples")
     _add_matrix_arg(p)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=1000, help="(x, t) pairs, plus each (x, x)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_kernel_check)

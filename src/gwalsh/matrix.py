@@ -225,6 +225,13 @@ def json_values(values: np.ndarray) -> list:
     return values.tolist()
 
 
+def json_int(value, name: str) -> int:
+    """An integer read from JSON: an int, or a float with no fractional part."""
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _entry_from_json(x):
     if isinstance(x, (list, tuple)):
         if len(x) != 2:
@@ -248,7 +255,7 @@ def matrix_from_dict(d: dict, tol: float | None = None) -> WalshMatrix:
         raise ValidationError("matrix JSON must contain an 'entries' field") from None
     try:
         entries = np.array([[_entry_from_json(x) for x in row] for row in raw])
-        declared = int(d["n"]) if "n" in d else None
+        declared = json_int(d["n"], "declared n") if "n" in d else None
         tol = float(d.get("tol", DEFAULT_EXTERNAL_TOL)) if tol is None else tol
     except (TypeError, ValueError):
         raise ValidationError("matrix JSON entries, n and tol must be numbers") from None

@@ -54,6 +54,7 @@ from .matrix import (
     RowPair,
     WalshMatrix,
     constant_row,
+    json_int,
     json_values,
     row_inner,
     validate,
@@ -412,8 +413,13 @@ def run_exchange(
 # ---------------------------------------------------------------------------
 
 
-def _seq_from_json(raw) -> np.ndarray:
-    values = np.asarray(raw, dtype=float)
+def _seq_from_json(raw, name: str) -> np.ndarray:
+    try:
+        values = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"transcript {name} must be a list of numbers") from None
+    if values.shape[1:] not in ((), (2,)) or not np.isfinite(values).all():  # null reads as NaN
+        raise ValidationError(f"transcript {name} needs finite numbers or [re, im] pairs")
     # [re, im] pairs are viewed as complex, not summed, so -0.0 parts keep their sign
     return values.view(complex)[:, 0] if values.ndim == 2 else values
 
@@ -432,12 +438,18 @@ def transcript_to_dict(t: ExchangeTranscript) -> dict:
 
 
 def transcript_from_dict(d: dict) -> ExchangeTranscript:
-    n, q = int(d["n"]), int(d["q"])
+    fields = ("n", "q", "w1", "w2", "w3", "recovered", "max_error", "pairing_violated")
+    if not isinstance(d, dict) or not d.keys() >= set(fields):
+        raise ValidationError(f"transcript JSON must be an object with the fields {fields}")
+    n, q = json_int(d["n"], "transcript n"), json_int(d["q"], "transcript q")
+    if n < 2 or q < 0:
+        raise ValidationError(f"transcript needs n >= 2 and q >= 0, got n={n}, q={q}")
+    w1, w2, w3, recovered = (_seq_from_json(d[key], key) for key in fields[2:6])
     return ExchangeTranscript(
-        w1=CoefficientVector(base=n, q=q, coeffs=_seq_from_json(d["w1"])),
-        w2=Signal(base=n, q=q, values=_seq_from_json(d["w2"])),
-        w3=CoefficientVector(base=n, q=q, coeffs=_seq_from_json(d["w3"])),
-        recovered=Signal(base=n, q=q, values=_seq_from_json(d["recovered"])),
+        w1=CoefficientVector(base=n, q=q, coeffs=w1),
+        w2=Signal(base=n, q=q, values=w2),
+        w3=CoefficientVector(base=n, q=q, coeffs=w3),
+        recovered=Signal(base=n, q=q, values=recovered),
         max_error=float(d["max_error"]),
         pairing_violated=bool(d["pairing_violated"]),
     )

@@ -12,8 +12,8 @@ the definition row by row, and a radix-N butterfly (``dwt_fast``) doing
 q stages of N x N kernel applications, q * N^(q+1) scalar multiplies in
 all.  The butterfly works on the index conventions directly: the
 coefficient index uses least-significant-first digits while the cell
-index uses most-significant-first digits, so a digit-reversal
-permutation reconciles the two after the stages.
+index uses most-significant-first digits.  In the (N,)*q array view,
+digit reversal is axis reversal, a strided transpose after the stages.
 
 The inverse transform synthesizes v_j = sum_n c_n * W_n(cell j) with the
 transposed stage structure.  For a unitary matrix this is the exact
@@ -24,12 +24,13 @@ is still the synthesis operator (no numerical matrix inversion).
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .basis import digit_length, digit_reversal_permutation, scaled_rows, walsh_on_grid
+from .basis import digit_length, scaled_rows, walsh_on_grid
 from .errors import BaseMismatchError, ValidationError
 from .matrix import WalshMatrix
 
@@ -40,9 +41,7 @@ def _as_cells(values, base: int, q: int) -> np.ndarray:
         raise ValidationError(
             f"expected {base**q} cell values for base {base}, q {q}, got shape {arr.shape}"
         )
-    if not np.iscomplexobj(arr):
-        arr = arr.astype(np.float64)
-    arr = arr.copy()
+    arr = np.array(arr, dtype=None if np.iscomplexobj(arr) else np.float64)
     arr.flags.writeable = False
     return arr
 
@@ -101,22 +100,22 @@ class MultiplyCounter:
         self.count = 0
 
 
-_active_counters: list[MultiplyCounter] = []
+_active_counters: ContextVar[tuple] = ContextVar("gwalsh_active_counters", default=())
 
 
 @contextmanager
 def count_multiplies():
-    """Context manager yielding a :class:`MultiplyCounter` for the block."""
+    """Yield a :class:`MultiplyCounter` of the transforms this thread or task runs in the block."""
     counter = MultiplyCounter()
-    _active_counters.append(counter)
+    token = _active_counters.set(_active_counters.get() + (counter,))
     try:
         yield counter
     finally:
-        _active_counters.remove(counter)
+        _active_counters.reset(token)
 
 
 def _tally(count: int) -> None:
-    for counter in _active_counters:
+    for counter in _active_counters.get():
         counter.count += count
 
 
@@ -153,7 +152,7 @@ def dwt_fast(a: WalshMatrix, s: Signal) -> CoefficientVector:
     _check_base(a, s.base)
     kernel = np.conj(scaled_rows(a)) / a.n  # row 0 is exactly 1/N
     staged = _stages(kernel, s.values, s.base, s.q)
-    coeffs = staged[digit_reversal_permutation(s.base, s.q)]
+    coeffs = staged.reshape((s.base,) * s.q).T.ravel()
     return CoefficientVector(base=s.base, q=s.q, coeffs=coeffs)
 
 
@@ -161,7 +160,7 @@ def idwt(a: WalshMatrix, c: CoefficientVector) -> Signal:
     """Synthesize the signal with cell values sum_n c_n * W_n(cell j)."""
     _check_base(a, c.base)
     kernel = scaled_rows(a).T  # column 0 is exactly 1
-    reordered = c.coeffs[digit_reversal_permutation(c.base, c.q)]
+    reordered = c.coeffs.reshape((c.base,) * c.q).T.ravel()
     values = _stages(kernel, reordered, c.base, c.q)
     return Signal(base=c.base, q=c.q, values=values)
 

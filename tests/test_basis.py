@@ -47,15 +47,20 @@ def kron_kernel(a, q, x, t):
     return (col_x * np.conj(col_t)).sum()
 
 
-def loop_kernel_deviation(a, q, samples, seed):
-    """Oracle: one scalar draw pair and one Kronecker kernel sum per sample."""
+def loop_kernel_deviation(a, q, samples, seed, kernel=kron_kernel):
+    """Oracle: one scalar draw pair per sample, checked as (x, t) and (x, x).
+
+    The deviation is that of the kernel sum divided by N^q from the
+    same-cell indicator.
+    """
     rng = np.random.default_rng(seed)
     width = a.n**q
     worst = 0.0
     for _ in range(samples):
         x, t = rng.random(), rng.random()
-        expected = width if cell_of(x, a.n, q).j == cell_of(t, a.n, q).j else 0.0
-        worst = max(worst, float(abs(kron_kernel(a, q, x, t) - expected)))
+        same = cell_of(x, a.n, q).j == cell_of(t, a.n, q).j
+        worst = max(worst, float(abs(kernel(a, q, x, t) / width - same)),
+                    float(abs(kernel(a, q, x, x) / width - 1)))
     return worst
 
 
@@ -190,6 +195,16 @@ class TestWalshOnGrid:
         with pytest.raises(DigitOverflowError):
             walsh_on_grid(matrix_a, 9, 2)
 
+    def test_same_rounding_at_every_resolution(self):
+        # W_n for n < N^2 is constant on blocks of N^(q-2) finer cells, and
+        # multiplying in the m_0 = 1 factors is exact, so the finer grid must
+        # repeat the coarse values bit for bit; 16^4 complex cells are large
+        # enough for NumPy to multiply in place into a temporary
+        a = generate_random(16, seed=116, complex_entries=True)
+        for n in (0, 1, 17, 50, 255):
+            coarse = walsh_on_grid(a, n, 2)
+            np.testing.assert_array_equal(walsh_on_grid(a, n, 4), np.repeat(coarse, 256))
+
     def test_classic_walsh_paley_values(self):
         # independent oracle: (-1)^popcount(n & bitreverse(j)) on a 16-cell grid
         m = validate(rv.CLASSIC_N2, tol=1e-10)
@@ -261,6 +276,31 @@ class TestDirichletKernel:
 
     def test_kernel_deviation_helper(self, matrix_a):
         assert kernel_deviation(matrix_a, 3, samples=200, seed=1) <= 1e-10
+
+    @pytest.mark.parametrize("q,samples", [(1, 40), (3, 60), (6, 30)])
+    def test_kernel_deviation_matches_dirichlet_loop(self, matrix_b, q, samples):
+        # matrix_b is unitary only to 1e-8, so every sample carries a deviation
+        # to compare; the loop also checks each x against itself
+        expected = loop_kernel_deviation(matrix_b, q, samples, seed=q, kernel=dirichlet_kernel)
+        assert kernel_deviation(matrix_b, q, samples=samples, seed=q) == pytest.approx(
+            expected, rel=1e-12)
+
+    @pytest.mark.parametrize("base,q", [(3, 6), (5, 4), (8, 3)])
+    def test_kernel_deviation_always_checks_the_same_cell(self, base, q):
+        # with one sample the pair (x, t) almost never shares a cell, so a
+        # wrong same-cell value shows only through the (x, x) check
+        a = generate_random(base, seed=0)
+        r = scaled_rows(a).copy()
+        # raises the same-cell value by about q * 1e-6 relative; the kernel
+        # of two cells that differ in several digits stays near 0
+        r[1] *= 1 + 1e-6
+        skewed = validate(r / np.sqrt(base), tol=1e-5)
+        assert kernel_deviation(skewed, q, samples=1, seed=0) >= 1e-7
+
+    def test_kernel_deviation_relative_at_fine_resolution(self):
+        # the same-cell value 3^18 carries rounding of order 3^18 * 18 * eps
+        a = generate_random(3, seed=0)
+        assert kernel_deviation(a, 18) <= 1e-13
 
 
 @settings(max_examples=25)

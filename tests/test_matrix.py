@@ -236,12 +236,17 @@ class TestSerialization:
             {"tol": "loose", "entries": rv.MATRIX_A.tolist()},
             {"entries": [[0.5, 0.5], [0.5]]},
             {"entries": [[0.5, None], [0.5, -0.5]]},
+            {"n": 3.7, "entries": rv.MATRIX_A.tolist()},
         ],
-        ids=["entries-int", "entry-str", "n-str", "tol-str", "ragged", "entry-null"],
+        ids=["entries-int", "entry-str", "n-str", "tol-str", "ragged", "entry-null",
+             "n-fraction"],
     )
     def test_malformed_fields_raise_validation_error(self, payload):
         with pytest.raises(ValidationError):
             matrix_from_dict(payload)
+
+    def test_integral_float_n_accepted(self):
+        assert matrix_from_dict({"n": 3.0, "entries": rv.MATRIX_A.tolist()}).n == 3
 
     def test_wrong_declared_n(self, tmp_path):
         path = tmp_path / "m.json"

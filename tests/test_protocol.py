@@ -29,7 +29,7 @@ from gwalsh import (
     validate,
 )
 from gwalsh.matrix import constant_row
-from gwalsh.protocol import masked_system_from_list
+from gwalsh.protocol import masked_system_from_list, transcript_from_dict, transcript_to_dict
 from gwalsh.transform import read_coefficients, read_signal
 
 
@@ -422,6 +422,37 @@ class TestRunExchange:
         assert loaded.recovered.values.tobytes() == transcript.recovered.values.tobytes()
         save_transcript(loaded, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.pop("w3"),
+            lambda d: d.pop("n"),
+            lambda d: d["w2"].__setitem__(0, None),
+            lambda d: d["w1"].__setitem__(1, "x"),
+            lambda d: d.__setitem__("recovered", "abc"),
+            lambda d: d.__setitem__("w1", [[0.5, 0.0, 1.0]] * 27),
+            lambda d: d.__setitem__("n", 3.7),
+            lambda d: d.__setitem__("n", "3"),
+            lambda d: d.__setitem__("q", 2.5),
+            lambda d: d.__setitem__("q", None),
+            lambda d: d.update(n=1, q=0, w1=[0.5], w2=[0.5], w3=[0.5], recovered=[0.5]),
+        ],
+        ids=["missing-message", "missing-n", "null-value", "string-value", "message-str",
+             "triples", "n-fraction", "n-str", "q-fraction", "q-null", "base-one"],
+    )
+    def test_malformed_transcript_raises_validation_error(self, matrix_a, signal_f, edit):
+        d = transcript_to_dict(run_exchange(matrix_a, matrix_a, signal_f))
+        transcript_from_dict(d)  # the unedited dict loads
+        edit(d)
+        with pytest.raises(ValidationError):
+            transcript_from_dict(d)
+
+    def test_transcript_json_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValidationError):
+            load_transcript(path)
 
     def test_base_two_any_pair_works(self):
         a = generate_random(2, seed=0)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -46,6 +49,19 @@ class TestSignalTypes:
     def test_values_read_only(self, signal_f):
         with pytest.raises(ValueError):
             signal_f.values[0] = 5.0
+
+    @pytest.mark.parametrize("dtype,stored", [
+        (bool, np.float64), (np.int32, np.float64), (np.float32, np.float64),
+        (np.float64, np.float64), (np.complex64, np.complex64),
+        (np.complex128, np.complex128), (np.clongdouble, np.clongdouble),
+    ])
+    def test_values_are_a_private_copy(self, dtype, stored):
+        raw = (np.arange(18) % 3).astype(dtype)[::2]  # strided input
+        s = Signal(base=3, q=2, values=raw)
+        assert s.values.dtype == stored
+        np.testing.assert_array_equal(s.values, raw.astype(stored))
+        assert not np.shares_memory(s.values, raw)
+        assert not s.values.flags.writeable
 
     def test_inline_digits(self, signal_f):
         assert len(signal_f) == 27
@@ -183,6 +199,44 @@ class TestMultiplyCount:
         with count_multiplies() as counter:
             dwt_naive(matrix_a, signal_f)
         assert counter.count == 0
+
+    def test_nested_counters_both_count(self, matrix_a, signal_f):
+        with count_multiplies() as outer:
+            dwt_fast(matrix_a, signal_f)
+            with count_multiplies() as inner:
+                dwt_fast(matrix_a, signal_f)
+        assert (outer.count, inner.count) == (2 * 3 * 3**4, 3 * 3**4)
+
+    def test_counts_are_per_thread(self):
+        # more threads than cores and a short switch interval, so the
+        # transforms of different threads interleave
+        a = generate_random(3, seed=1)
+        s = random_signal(3, 6, seed=2)
+        workers, calls = 8, 20
+        counts = [None] * workers
+        start = threading.Barrier(workers)
+
+        def work(i):
+            with count_multiplies() as counter:
+                start.wait(timeout=30)
+                for _ in range(calls):
+                    dwt_fast(a, s)
+            counts[i] = counter.count
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with count_multiplies() as spectator:
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert counts == [calls * 6 * 3**7] * workers
+        assert spectator.count == 0
 
 
 class TestSerialization:
