@@ -269,9 +269,21 @@ def save_matrix(m: WalshMatrix, path) -> None:
     Path(path).write_text(json.dumps(matrix_to_dict(m), indent=2) + "\n")
 
 
-def load_matrix(path, tol: float | None = None) -> WalshMatrix:
+def read_text(path, kind: str) -> str:
+    """The text of a ``kind`` input file; bytes that are not UTF-8 raise ValidationError."""
     try:
-        d = json.loads(Path(path).read_text())
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{kind} file {path} is not UTF-8 text: {e}") from None
+
+
+def read_json(path, kind: str):
+    """The parsed JSON of a ``kind`` input file; malformed text raises ValidationError."""
+    try:
+        return json.loads(read_text(path, kind))
     except json.JSONDecodeError as e:
-        raise ValidationError(f"malformed matrix JSON in {path}: {e}") from e
-    return matrix_from_dict(d, tol=tol)
+        raise ValidationError(f"malformed {kind} JSON in {path}: {e}") from e
+
+
+def load_matrix(path, tol: float | None = None) -> WalshMatrix:
+    return matrix_from_dict(read_json(path, "matrix"), tol=tol)

@@ -56,6 +56,7 @@ from .matrix import (
     constant_row,
     json_int,
     json_values,
+    read_json,
     row_inner,
     validate,
 )
@@ -170,8 +171,8 @@ def pairing_check_basis(
     ga = grid_matrix(a, q)
     gb = grid_matrix(b, q)
     lhs = (gb @ ga.conj().T) / width  # [l, k] = <W_l of B, W_k of A>
-    rhs = (ga @ gb.conj().T) / width  # [l, k] = <W_l of A, W_k of B>
-    residuals = np.abs(lhs - rhs)
+    # <W_l of A, W_k of B> = conj(<W_k of B, W_l of A>) = conj(lhs[k, l])
+    residuals = np.abs(lhs - lhs.conj().T)
     flat = int(residuals.argmax())
     worst_indices = (flat // width, flat % width)
     worst = float(residuals.max())
@@ -445,13 +446,16 @@ def transcript_from_dict(d: dict) -> ExchangeTranscript:
     if n < 2 or q < 0:
         raise ValidationError(f"transcript needs n >= 2 and q >= 0, got n={n}, q={q}")
     w1, w2, w3, recovered = (_seq_from_json(d[key], key) for key in fields[2:6])
+    max_error, violated = d["max_error"], d["pairing_violated"]
+    if type(max_error) not in (int, float) or type(violated) is not bool:  # bool("false") is True
+        raise ValidationError("transcript needs a number max_error and a boolean pairing_violated")
     return ExchangeTranscript(
         w1=CoefficientVector(base=n, q=q, coeffs=w1),
         w2=Signal(base=n, q=q, values=w2),
         w3=CoefficientVector(base=n, q=q, coeffs=w3),
         recovered=Signal(base=n, q=q, values=recovered),
-        max_error=float(d["max_error"]),
-        pairing_violated=bool(d["pairing_violated"]),
+        max_error=float(max_error),
+        pairing_violated=violated,
     )
 
 
@@ -460,7 +464,7 @@ def save_transcript(t: ExchangeTranscript, path) -> None:
 
 
 def load_transcript(path) -> ExchangeTranscript:
-    return transcript_from_dict(json.loads(Path(path).read_text()))
+    return transcript_from_dict(read_json(path, "transcript"))
 
 
 def masked_system_to_list(m: MaskedConstraintSystem) -> list:
@@ -497,4 +501,4 @@ def save_masked_system(m: MaskedConstraintSystem, path) -> None:
 
 
 def load_masked_system(path) -> MaskedConstraintSystem:
-    return masked_system_from_list(json.loads(Path(path).read_text()))
+    return masked_system_from_list(read_json(path, "masked-system"))

@@ -10,10 +10,13 @@ matrix A, in natural index order:
 Two implementations are provided: a naive quadratic reference summing
 the definition row by row, and a radix-N butterfly (``dwt_fast``) doing
 q stages of N x N kernel applications, q * N^(q+1) scalar multiplies in
-all.  The butterfly works on the index conventions directly: the
-coefficient index uses least-significant-first digits while the cell
-index uses most-significant-first digits.  In the (N,)*q array view,
-digit reversal is axis reversal, a strided transpose after the stages.
+all.  Each stage is one product that contracts the leading digit and
+writes it last (the self-sorting form), so the stages never copy data
+into a new order.  The coefficient index uses least-significant-first
+digits while the cell index uses most-significant-first digits; in the
+(N,)*q array view this digit reversal is axis reversal, one strided
+transpose (after the forward stages, before the inverse ones) and the
+only reorder.
 
 The inverse transform synthesizes v_j = sum_n c_n * W_n(cell j) with the
 transposed stage structure.  For a unitary matrix this is the exact
@@ -32,7 +35,7 @@ import numpy as np
 
 from .basis import digit_length, scaled_rows, walsh_on_grid
 from .errors import BaseMismatchError, ValidationError
-from .matrix import WalshMatrix
+from .matrix import WalshMatrix, read_text
 
 
 def _as_cells(values, base: int, q: int) -> np.ndarray:
@@ -142,7 +145,7 @@ def _stages(kernel: np.ndarray, data: np.ndarray, base: int, q: int) -> np.ndarr
     """Apply the N x N kernel along each of the q digit axes in turn."""
     out = data
     for _ in range(q):
-        out = (kernel @ out.reshape(base, -1)).T.ravel()
+        out = (out.reshape(base, -1).T @ kernel.T).ravel()
         _tally(base ** (q + 1))
     return out
 
@@ -253,7 +256,7 @@ def write_signal(s: Signal, path, digits: int | None = None) -> None:
 
 
 def read_signal(path) -> Signal:
-    return signal_from_text(Path(path).read_text())
+    return signal_from_text(read_text(path, "signal"))
 
 
 def write_coefficients(c: CoefficientVector, path, digits: int | None = None) -> None:
@@ -261,7 +264,7 @@ def write_coefficients(c: CoefficientVector, path, digits: int | None = None) ->
 
 
 def read_coefficients(path) -> CoefficientVector:
-    return coefficients_from_text(Path(path).read_text())
+    return coefficients_from_text(read_text(path, "coefficient"))
 
 
 def random_signal(base: int, q: int, seed: int, complex_values: bool = False) -> Signal:

@@ -222,6 +222,21 @@ class TestMalformedMatrix:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--signal", "--in", "--matrix"])
+def test_non_utf8_file_exit_two(tmp_path, matrix_a_file, signal_file, capsys, flag):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out.csv"
+    command, inputs = {
+        "--signal": ("encode", ["--matrix", matrix_a_file, "--signal", str(bad)]),
+        "--in": ("decode", ["--matrix", matrix_a_file, "--in", str(bad)]),
+        "--matrix": ("encode", ["--matrix", str(bad), "--signal", signal_file]),
+    }[flag]
+    assert main([command, *inputs, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("ValidationError: ")
+
+
 def test_superscript_inline_signal_exit_two(tmp_path, matrix_a_file):
     out = tmp_path / "c.csv"
     rc = main(["encode", "--matrix", matrix_a_file, "--signal-inline", "0\u00b22",

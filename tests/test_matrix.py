@@ -14,7 +14,11 @@ from gwalsh import (
     ValidationError,
     generate_n3,
     generate_random,
+    load_masked_system,
     load_matrix,
+    load_transcript,
+    read_coefficients,
+    read_signal,
     row_inner,
     save_matrix,
     validate,
@@ -226,6 +230,17 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(ValidationError):
             load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "load",
+        [load_matrix, load_masked_system, load_transcript, read_signal, read_coefficients],
+        ids=lambda f: f.__name__,
+    )
+    def test_non_utf8_file_raises_validation_error(self, tmp_path, load):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            load(path)
 
     @pytest.mark.parametrize(
         "payload",

@@ -15,6 +15,7 @@ from gwalsh import (
     ValidationError,
     companion_family,
     generate_random,
+    grid_matrix,
     load_masked_system,
     load_transcript,
     mask_constraints,
@@ -112,8 +113,6 @@ class TestPairingBasis:
         # both sides reduce to inner products against the constant function,
         # so the residual vanishes on row 0 and column 0 even when the
         # pairing fails everywhere else
-        from gwalsh import grid_matrix
-
         partner = rotated_partner(matrix_a, 0.7)
         width = 9
         ga = grid_matrix(matrix_a, 2)
@@ -122,6 +121,19 @@ class TestPairingBasis:
         assert residual[0, :].max() <= 1e-12
         assert residual[:, 0].max() <= 1e-12
         assert residual.max() > 1e-2
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("pairs", [True, False], ids=["holding", "violated"])
+    def test_one_product_matches_two_product_oracle(self, complex_entries, pairs):
+        a = generate_random(4, seed=3, complex_entries=complex_entries)
+        b = (solve_companion_numeric(a, seed=5) if pairs
+             else generate_random(4, seed=9, complex_entries=complex_entries))
+        report = pairing_check_basis(a, b, q=2, tol=1e-8)
+        ga, gb = grid_matrix(a, 2), grid_matrix(b, 2)
+        oracle = np.abs((gb @ ga.conj().T) / 16 - (ga @ gb.conj().T) / 16)
+        assert report.holds == pairs == (oracle.max() <= 1e-8)
+        assert report.worst_residual == pytest.approx(oracle.max(), rel=1e-12, abs=1e-15)
+        assert oracle[report.worst_indices] == pytest.approx(oracle.max(), rel=1e-12, abs=1e-15)
 
 
 class TestSolveCompanion:
@@ -261,6 +273,12 @@ class TestMaskConstraints:
     def test_malformed_system_raises_validation_error(self, raw):
         with pytest.raises(ValidationError):
             masked_system_from_list(raw)
+
+    def test_malformed_json_text_raises_validation_error(self, tmp_path):
+        path = tmp_path / "masked.json"
+        path.write_text('[{"coeffs": {"b_1_0": 1.0}')
+        with pytest.raises(ValidationError, match="malformed masked-system JSON"):
+            load_masked_system(path)
 
 
 class TestSolveCompanionNumeric:
@@ -437,9 +455,14 @@ class TestRunExchange:
             lambda d: d.__setitem__("q", 2.5),
             lambda d: d.__setitem__("q", None),
             lambda d: d.update(n=1, q=0, w1=[0.5], w2=[0.5], w3=[0.5], recovered=[0.5]),
+            lambda d: d.__setitem__("max_error", "x"),
+            lambda d: d.__setitem__("max_error", None),
+            lambda d: d.__setitem__("pairing_violated", "false"),
+            lambda d: d.__setitem__("pairing_violated", 0),
         ],
         ids=["missing-message", "missing-n", "null-value", "string-value", "message-str",
-             "triples", "n-fraction", "n-str", "q-fraction", "q-null", "base-one"],
+             "triples", "n-fraction", "n-str", "q-fraction", "q-null", "base-one",
+             "max-error-str", "max-error-null", "violated-str", "violated-int"],
     )
     def test_malformed_transcript_raises_validation_error(self, matrix_a, signal_f, edit):
         d = transcript_to_dict(run_exchange(matrix_a, matrix_a, signal_f))
@@ -447,6 +470,18 @@ class TestRunExchange:
         edit(d)
         with pytest.raises(ValidationError):
             transcript_from_dict(d)
+
+    def test_malformed_transcript_json_text(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"n": 3, "q": ')
+        with pytest.raises(ValidationError, match="malformed transcript JSON"):
+            load_transcript(path)
+
+    @pytest.mark.parametrize("violated", [False, True])
+    def test_pairing_flag_round_trips(self, matrix_a, signal_f, violated):
+        d = transcript_to_dict(run_exchange(matrix_a, matrix_a, signal_f))
+        d["pairing_violated"] = violated
+        assert transcript_from_dict(d).pairing_violated is violated
 
     def test_transcript_json_that_is_not_an_object(self, tmp_path):
         path = tmp_path / "t.json"

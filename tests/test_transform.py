@@ -22,6 +22,7 @@ from gwalsh import (
     random_signal,
     signal_from_digits,
 )
+from gwalsh.basis import scaled_rows
 from gwalsh.transform import (
     _values_from_text,
     coefficients_from_text,
@@ -237,6 +238,55 @@ class TestMultiplyCount:
         assert not any(t.is_alive() for t in threads)
         assert counts == [calls * 6 * 3**7] * workers
         assert spectator.count == 0
+
+
+def _oracle_stages(kernel, data, base, q):
+    """The two-pass stage: the product, then a transposing copy into rotated order."""
+    out = data
+    for _ in range(q):
+        out = (kernel @ out.reshape(base, -1)).T.ravel()
+    return out
+
+
+def _oracle_dwt_fast(a, s):
+    kernel = np.conj(scaled_rows(a)) / a.n
+    return _oracle_stages(kernel, s.values, s.base, s.q).reshape((s.base,) * s.q).T.ravel()
+
+
+def _oracle_idwt(a, c):
+    reordered = c.coeffs.reshape((c.base,) * c.q).T.ravel()
+    return _oracle_stages(scaled_rows(a).T, reordered, c.base, c.q)
+
+
+class TestStageOracle:
+    """Each stage is one product writing rotated order; the two-pass stage is the oracle."""
+
+    @pytest.mark.parametrize("q", range(5))
+    @pytest.mark.parametrize("base", [2, 3, 4, 5, 7, 16])
+    def test_real_is_bit_identical(self, base, q):
+        a = generate_random(base, seed=base + 10 * q)
+        s = random_signal(base, q, seed=q)
+        c = dwt_fast(a, s)
+        back = idwt(a, c)
+        for got, want in ((c.coeffs, _oracle_dwt_fast(a, s)), (back.values, _oracle_idwt(a, c))):
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("q", range(5))
+    @pytest.mark.parametrize("base", [2, 3, 4, 5, 7, 16])
+    @pytest.mark.parametrize("complex_matrix,complex_signal",
+                             [(True, False), (True, True), (False, True)],
+                             ids=["complex-matrix", "both-complex", "complex-signal"])
+    def test_complex_within_rounding(self, base, q, complex_matrix, complex_signal):
+        # complex products may round differently with the operands swapped
+        a = generate_random(base, seed=base + 10 * q, complex_entries=complex_matrix)
+        s = random_signal(base, q, seed=q, complex_values=complex_signal)
+        c = dwt_fast(a, s)
+        back = idwt(a, c)
+        bound = 4 * q * np.finfo(float).eps
+        for got, want in ((c.coeffs, _oracle_dwt_fast(a, s)), (back.values, _oracle_idwt(a, c))):
+            assert got.dtype == want.dtype
+            assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
 
 class TestSerialization:
