@@ -33,13 +33,11 @@ from .matrix import (
     generate_n3,
     generate_random,
     load_matrix,
-    row_inner,
     save_matrix,
     validate,
 )
 from .basis import (
     CellIndex,
-    DigitString,
     digit_reversal_permutation,
     digits,
     dirichlet_kernel,

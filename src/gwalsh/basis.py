@@ -34,33 +34,11 @@ MAX_GRID = 2048
 
 
 @dataclass(frozen=True)
-class DigitString:
-    """Base-N digits of a nonnegative integer, least significant first."""
-
-    base: int
-    digits: tuple[int, ...]
-
-    @property
-    def value(self) -> int:
-        v = 0
-        for d in reversed(self.digits):
-            v = v * self.base + d
-        return v
-
-
-@dataclass(frozen=True)
 class CellIndex:
     """The j-th half-open cell [j/N^q, (j+1)/N^q) at resolution q."""
 
     q: int
     j: int
-
-    def interval(self, base: int) -> tuple[float, float]:
-        width = base**self.q
-        return (self.j / width, (self.j + 1) / width)
-
-    def midpoint(self, base: int) -> float:
-        return (2 * self.j + 1) / (2 * base**self.q)
 
 
 def digit_length(n: int, base: int) -> int:
@@ -72,7 +50,7 @@ def digit_length(n: int, base: int) -> int:
     return length
 
 
-def digits(n: int, base: int, pad_to: int | None = None) -> DigitString:
+def digits(n: int, base: int, pad_to: int | None = None) -> tuple[int, ...]:
     """Base-N digits of n, least significant first, zero-padded to ``pad_to``."""
     if n < 0:
         raise ValidationError(f"n must be nonnegative, got {n}")
@@ -85,7 +63,7 @@ def digits(n: int, base: int, pad_to: int | None = None) -> DigitString:
     for _ in range(width):
         out.append(n % base)
         n //= base
-    return DigitString(base=base, digits=tuple(out))
+    return tuple(out)
 
 
 def r_map(x: float, base: int) -> float:
@@ -145,8 +123,8 @@ def walsh_eval(a: WalshMatrix, n: int, x: float):
         raise ValidationError(f"n must be nonnegative, got {n}")
     q = max(1, digit_length(n, a.n))
     cell = cell_of(x, a.n, q)
-    ndig = digits(n, a.n, pad_to=q).digits
-    kdig = digits(cell.j, a.n, pad_to=q).digits[::-1]
+    ndig = digits(n, a.n, pad_to=q)
+    kdig = digits(cell.j, a.n, pad_to=q)[::-1]
     r = scaled_rows(a)
     value = r.dtype.type(1)
     for i_t, k_t in zip(ndig, kdig):
@@ -165,7 +143,7 @@ def walsh_on_grid(a: WalshMatrix, n: int, q: int) -> np.ndarray:
         raise DigitOverflowError(f"need n < N^q = {width}, got n={n}")
     r = scaled_rows(a)
     # axis t of the outer product is the t-th most significant cell digit
-    factors = [r[i_t] for i_t in digits(n, a.n, pad_to=q).digits]
+    factors = [r[i_t] for i_t in digits(n, a.n, pad_to=q)]
     return reduce(np.multiply.outer, factors, np.ones((), r.dtype)).ravel()
 
 
@@ -220,13 +198,19 @@ def gram_defect(a: WalshMatrix, q: int) -> float:
     """Max deviation from identity of the Walsh Gram matrix at resolution q.
 
     The Gram matrix is the q-fold Kronecker power of the N x N Gram
-    ``R conj(R)^T / N`` of the m_i, up to the digit-reversal order of its
-    rows and columns, which moves no entry on or off the diagonal.
+    ``G = R conj(R)^T / N`` of the m_i, up to the digit-reversal order of its
+    rows and columns, which moves no entry on or off the diagonal.  Its
+    diagonal entries are the q-fold products of diag(G), which span
+    [d_min^q, d_max^q] for d = |diag(G)|; its largest off-diagonal entry is
+    the largest off-diagonal |G| times (max |G|)^(q-1).  N^q stays limited
+    to MAX_GRID: ``verify`` relies on this to reject a q too large for it.
     """
-    width = _width(a.n, q, MAX_GRID)
+    _width(a.n, q, MAX_GRID)
     r = scaled_rows(a)
-    gram = reduce(np.kron, [(r @ r.conj().T) / a.n] * q)
-    return float(np.abs(gram - np.eye(width)).max())
+    gram = np.abs((r @ r.conj().T) / a.n)
+    d = gram.diagonal()
+    off = (gram - np.diag(d)).max()
+    return float(max(d.max() ** q - 1, 1 - d.min() ** q, off * gram.max() ** (q - 1)))
 
 
 def kernel_deviation(a: WalshMatrix, q: int, samples: int = 1000, seed: int = 0) -> float:

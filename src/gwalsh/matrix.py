@@ -4,8 +4,7 @@ A Walsh-generating matrix is an N x N unitary matrix (N >= 2) whose first
 row is constantly 1/sqrt(N).  Every such matrix induces an orthonormal
 system of step functions on [0, 1), built in :mod:`gwalsh.basis`.  This
 module constructs, validates, serializes and randomly generates these
-matrices, and evaluates the row inner products used by the companion
-pairing condition.
+matrices.
 
 Conventions fixed project-wide:
 
@@ -28,7 +27,6 @@ from .errors import (
     BadDimensionError,
     BadFirstRowError,
     DegenerateDrawError,
-    DimensionMismatchError,
     NotUnitaryError,
     OutOfRangeError,
     ValidationError,
@@ -84,14 +82,14 @@ class WalshMatrix:
 
 @dataclass(frozen=True)
 class RowPair:
-    """Pair of non-constant row indices, l < k, both in 1..N-1."""
+    """Pair of non-constant row indices, l <= k, both in 1..N-1."""
 
     l: int
     k: int
 
     def __post_init__(self):
-        if not (1 <= self.l < self.k):
-            raise ValidationError(f"row pair must satisfy 1 <= l < k, got ({self.l}, {self.k})")
+        if not (1 <= self.l <= self.k):
+            raise ValidationError(f"row pair must satisfy 1 <= l <= k, got ({self.l}, {self.k})")
 
 
 def validate(entries, tol: float = DEFAULT_EXTERNAL_TOL) -> WalshMatrix:
@@ -203,19 +201,6 @@ def generate_random(n: int, seed: int, complex_entries: bool = False) -> WalshMa
                 f"could not draw an independent vector after {_MAX_DRAWS} attempts"
             )
     return validate(np.vstack(rows), tol=DEFAULT_GENERATED_TOL)
-
-
-def row_inner(a: WalshMatrix, b: WalshMatrix, l: int, k: int):
-    """Sum over j of B[l, j] * conj(A[k, j]).
-
-    This is the inner product of B's row l against A's row k, linear in
-    the first slot and conjugating the second.
-    """
-    if a.n != b.n:
-        raise DimensionMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
-    if not (0 <= l < a.n and 0 <= k < a.n):
-        raise DimensionMismatchError(f"row indices ({l}, {k}) out of range for n={a.n}")
-    return (b.entries[l] * np.conj(a.entries[k])).sum()
 
 
 def json_values(values: np.ndarray) -> list:

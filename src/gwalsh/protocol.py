@@ -5,8 +5,10 @@ of non-constant rows satisfies
 
     <row_l of B, row_k of A> = <row_l of A, row_k of B>,
 
-which is equivalent to the same identity between their Walsh functions
-in L2[0,1] (checked brute force by :func:`pairing_check_basis`).  For a
+that is, when the cross-Gram ``B[1:] A[1:]^H`` is Hermitian; the row
+check includes l = k, which binds only complex matrices.  This is
+equivalent to the same identity between their Walsh functions in L2[0,1]
+(checked brute force by :func:`pairing_check_basis`).  For a
 companion pair, analysis by A and synthesis by B compose to the identity
 after two rounds, which carries a four-message exchange:
 
@@ -57,7 +59,6 @@ from .matrix import (
     json_int,
     json_values,
     read_json,
-    row_inner,
     validate,
 )
 from .transform import (
@@ -146,18 +147,33 @@ class ExchangeTranscript:
     pairing_violated: bool
 
 
+def _pairing_residual(b_rows: np.ndarray, a_rows: np.ndarray) -> np.ndarray:
+    """``|X - X^H|`` for ``X = b_rows a_rows^H``: [l, k] is ``|<b_l, a_k> - <a_l, b_k>|``."""
+    cross = b_rows @ a_rows.conj().T
+    return np.abs(cross - cross.conj().T)
+
+
 def pairing_check_rows(a: WalshMatrix, b: WalshMatrix, tol: float = 1e-8) -> PairingReport:
-    """Check the row-level companion condition over all pairs l < k >= 1."""
+    """Check the row-level companion condition over all pairs 1 <= l <= k.
+
+    ``worst_pair`` is the last maximal pair l < k in row-major order, or
+    (l, l) when its residual is strictly the largest.
+    """
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
-    worst_pair = None
-    worst = 0.0
-    for l in range(1, a.n):
-        for k in range(l + 1, a.n):
-            residual = abs(row_inner(a, b, l, k) - row_inner(b, a, l, k))
-            if residual >= worst:
-                worst = float(residual)
-                worst_pair = RowPair(l=l, k=k)
+    residual = _pairing_residual(b.entries[1:], a.entries[1:])
+    diagonal = residual.diagonal()
+    rows, cols = np.triu_indices(a.n - 1, 1)
+    off = residual[rows, cols]
+    if off.size and off.max() >= diagonal.max():
+        last = off.size - 1 - int(off[::-1].argmax())
+        worst_pair = RowPair(l=int(rows[last]) + 1, k=int(cols[last]) + 1)
+    elif diagonal.max() > 0:
+        l = int(diagonal.argmax()) + 1
+        worst_pair = RowPair(l=l, k=l)
+    else:
+        worst_pair = None
+    worst = float(residual.max())
     return PairingReport(holds=worst <= tol, worst_pair=worst_pair, worst_residual=worst)
 
 
@@ -314,11 +330,10 @@ def solve_companion_numeric(
     v /= np.linalg.norm(v)
     rows = a.entries[1:]
     b_rows = rows - 2 * np.outer(v, v.conj() @ rows)
-    cross = b_rows @ rows.conj().T
     residuals = [
         np.abs(b_rows @ b_rows.conj().T - np.eye(n - 1)).max(),
         np.abs(b_rows.sum(axis=1)).max(),
-        np.abs(cross - cross.conj().T).max(),
+        _pairing_residual(b_rows, rows).max(),
     ]
     if masked is not None:
         residuals += [abs((coeff * b_rows).sum() - rhs) for coeff, rhs in _masked_rows(masked, n)]

@@ -178,7 +178,8 @@ def parseval_residual(a: WalshMatrix, s: Signal) -> float:
 
 # ---------------------------------------------------------------------------
 # CSV wire format: header "# gwalsh <kind> N=<n> q=<q>", one value per line,
-# complex values as a "re,im" pair.
+# complex values as a "re,im" pair.  Values are read only in the ASCII
+# spellings that repr() and the "g" format write.
 # ---------------------------------------------------------------------------
 
 _HEADER = "# gwalsh {kind} N={base} q={q}"
@@ -195,10 +196,21 @@ def _values_to_text(values: np.ndarray, kind: str, base: int, q: int,
     return "\n".join([_HEADER.format(kind=kind, base=base, q=q), *lines]) + "\n"
 
 
+def _number_text(text: str) -> bool:
+    """True when text uses only the characters the writers emit (and newlines).
+
+    This rejects what ``float()`` would also read: spaces, ``_``,
+    non-ASCII digits, ``inf`` and ``nan``.
+    """
+    return text.isascii() and not text.encode().translate(None, b"0123456789.e+-,\n")
+
+
 def _parse_value(line: str):
     """One value line: a real number or a ``re,im`` pair."""
     real, comma, imag = line.partition(",")
     try:
+        if not _number_text(line):
+            raise ValueError
         return complex(float(real), float(imag)) if comma else float(real)
     except ValueError:
         raise ValidationError(f"bad value line: {line!r}") from None
@@ -221,6 +233,8 @@ def _values_from_text(text: str, kind: str) -> tuple[int, int, np.ndarray]:
         raise ValidationError(f"header needs N >= 2 and q >= 0: {lines[0]!r}")
     body = lines[1:]
     try:
+        if not _number_text("\n".join(body)):
+            raise ValueError
         arr = np.fromiter(map(float, body), dtype=float, count=len(body))
     except ValueError:  # complex pairs, or a bad line to report
         arr = np.asarray([_parse_value(line) for line in body])

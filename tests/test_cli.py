@@ -163,8 +163,9 @@ class TestCheckBoundaries:
             ["kernel-check", "--q", "0"],
             ["kernel-check", "--q", "3", "--samples", "0"],
             ["kernel-check", "--q", "40"],  # 3^40 cells exceed 2^53
+            ["verify", "--q", "8"],  # 3^8 cells exceed MAX_GRID = 2048
         ],
-        ids=["verify-q0", "kernel-check-q0", "samples0", "cells-over-2^53"],
+        ids=["verify-q0", "kernel-check-q0", "samples0", "cells-over-2^53", "verify-over-grid"],
     )
     def test_rejected_with_exit_two(self, tmp_path, matrix_a_file, argv):
         out = tmp_path / "report.json"
@@ -181,12 +182,16 @@ class TestMalformedCsv:
             "# gwalsh signal N=0 q=0\n0\n",
             "# gwalsh signal N=3 q=-1\n0\n",
             "# gwalsh signal N=3 q=1\n0\nnan\n1\n",
+            # spellings float() reads but the writers never emit
+            "# gwalsh signal N=3 q=1\n0\n1_0\n1\n",
+            "# gwalsh signal N=3 q=1\n0\n 1 , 2 \n1\n",
+            "# gwalsh signal N=3 q=1\n0\n\u0661\n1\n",
         ],
-        ids=["N=x", "N=1", "N=0", "q=-1", "nan"],
+        ids=["N=x", "N=1", "N=0", "q=-1", "nan", "underscore", "spaced-pair", "arabic-digit"],
     )
     def test_encode_exit_two(self, tmp_path, matrix_a_file, text):
         signal = tmp_path / "f.csv"
-        signal.write_text(text)
+        signal.write_text(text, encoding="utf-8")
         out = tmp_path / "c.csv"
         rc = main(["encode", "--matrix", matrix_a_file, "--signal", str(signal),
                    "--out", str(out)])

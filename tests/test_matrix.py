@@ -7,7 +7,6 @@ import reference_values as rv
 from gwalsh import (
     BadDimensionError,
     BadFirstRowError,
-    DimensionMismatchError,
     NotUnitaryError,
     OutOfRangeError,
     RowPair,
@@ -19,7 +18,6 @@ from gwalsh import (
     load_transcript,
     read_coefficients,
     read_signal,
-    row_inner,
     save_matrix,
     validate,
 )
@@ -155,42 +153,10 @@ class TestGenerateRandom:
             generate_random(1, seed=0)
 
 
-class TestRowInner:
-    def test_unitarity_relations(self, matrix_a):
-        for l in range(3):
-            for k in range(3):
-                value = row_inner(matrix_a, matrix_a, l, k)
-                expected = 1.0 if l == k else 0.0
-                assert abs(value - expected) <= 1e-12
-
-    def test_definition(self, matrix_a, matrix_b):
-        # linear in the first slot (B's row), conjugating the second (A's row)
-        expected = (matrix_b.entries[1] * matrix_a.entries[2]).sum()
-        assert row_inner(matrix_a, matrix_b, 1, 2) == pytest.approx(expected, abs=1e-15)
-
-    def test_real_symmetry(self, matrix_a, matrix_b):
-        for l in range(1, 3):
-            for k in range(1, 3):
-                lhs = row_inner(matrix_a, matrix_b, l, k)
-                rhs = row_inner(matrix_b, matrix_a, k, l)
-                assert abs(lhs - rhs) <= 1e-15
-
-    def test_pairing_identity_reference_companion(self, matrix_a, matrix_b):
-        lhs = row_inner(matrix_a, matrix_b, 1, 2)
-        rhs = row_inner(matrix_b, matrix_a, 1, 2)
-        assert abs(lhs - rhs) <= 1e-7
-
-    def test_dimension_mismatch(self, matrix_a):
-        other = generate_random(4, seed=0)
-        with pytest.raises(DimensionMismatchError):
-            row_inner(matrix_a, other, 1, 2)
-        with pytest.raises(DimensionMismatchError):
-            row_inner(matrix_a, matrix_a, 1, 3)
-
-
 class TestRowPair:
     def test_ordering_enforced(self):
         RowPair(l=1, k=2)
+        RowPair(l=2, k=2)  # the diagonal pair of the complex row check
         with pytest.raises(ValidationError):
             RowPair(l=2, k=1)
         with pytest.raises(ValidationError):

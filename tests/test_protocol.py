@@ -8,6 +8,7 @@ import pytest
 
 import reference_values as rv
 from gwalsh import (
+    DimensionMismatchError,
     DirectoryChannel,
     NoConvergenceError,
     NoRealSolutionError,
@@ -29,7 +30,6 @@ from gwalsh import (
     solve_companion_numeric,
     validate,
 )
-from gwalsh.matrix import constant_row
 from gwalsh.protocol import masked_system_from_list, transcript_from_dict, transcript_to_dict
 from gwalsh.transform import read_coefficients, read_signal
 
@@ -37,18 +37,108 @@ from gwalsh.transform import read_coefficients, read_signal
 def rotated_partner(a, angle):
     """Unitary constant-first-row matrix violating the pairing condition.
 
-    Rotating (rather than reflecting) A's non-constant rows inside the
-    zero-sum plane gives a valid matrix whose pairing residual against A
-    is exactly 2*|sin(angle)|.
+    Rotating (rather than reflecting) A's rows 1 and 2 inside their plane
+    gives a valid matrix whose pairing residual against A is exactly
+    2*|sin(angle)|.
     """
     u, w = a.entries[1], a.entries[2]
     c, s = np.cos(angle), np.sin(angle)
-    return validate(
-        np.vstack([constant_row(3), c * u - s * w, s * u + c * w]), tol=1e-10
-    )
+    rows = a.entries.copy()
+    rows[1], rows[2] = c * u - s * w, s * u + c * w
+    return validate(rows, tol=1e-10)
+
+
+def phased_partner(a, phases):
+    """A with non-constant row l multiplied by phases[l - 1].
+
+    The result is unitary with a constant first row, and it pairs with A
+    only when every phase is real: <B_l, A_l> = phases[l - 1].
+    """
+    return validate(np.vstack([a.entries[:1], np.asarray(phases)[:, None] * a.entries[1:]]),
+                    tol=1e-10)
+
+
+def row_inner(a, b, l, k):
+    """Sum over j of B[l, j] * conj(A[k, j]): B's row l against A's row k."""
+    return (b.entries[l] * np.conj(a.entries[k])).sum()
+
+
+def loop_pairing_check(a, b, tol):
+    """Oracle: the row check as a double loop over row inner products.
+
+    The pairs l < k are visited in row-major order and the last maximal one
+    is named; a diagonal pair, which binds only complex matrices, is named
+    only when it is strictly worse than every pair l < k.
+    """
+    worst_pair, worst = None, 0.0
+    for l in range(1, a.n):
+        for k in range(l + 1, a.n):
+            residual = abs(row_inner(a, b, l, k) - row_inner(b, a, l, k))
+            if residual >= worst:
+                worst_pair, worst = (l, k), float(residual)
+    for l in range(1, a.n):
+        residual = abs(row_inner(a, b, l, l) - row_inner(b, a, l, l))
+        if residual > worst:
+            worst_pair, worst = (l, l), float(residual)
+    return worst <= tol, worst_pair, worst
 
 
 class TestPairingRows:
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_matches_row_inner_loop(self, n, complex_entries):
+        for seed in range(6):
+            a = generate_random(n, seed=seed, complex_entries=complex_entries)
+            partners = [solve_companion_numeric(a, seed=seed + 1),
+                        generate_random(n, seed=seed + 50, complex_entries=complex_entries)]
+            if n > 2:
+                partners.append(rotated_partner(a, 0.1 + seed))
+            if complex_entries:
+                partners.append(phased_partner(a, np.exp(1j * np.arange(1, n))))
+            for b in partners:
+                report = pairing_check_rows(a, b, tol=1e-8)
+                holds, pair, worst = loop_pairing_check(a, b, tol=1e-8)
+                assert report.holds == holds
+                # the matrix product and the loop sum the same N products in
+                # different orders
+                assert abs(report.worst_residual - worst) <= 4 * n * np.finfo(float).eps
+                if not holds:
+                    assert (report.worst_pair.l, report.worst_pair.k) == pair
+            # the companion holds; the last partner, rotated or phased, violates
+            assert pairing_check_rows(a, partners[0], tol=1e-8).holds
+            assert (n == 2 and not complex_entries) or not report.holds
+
+    def test_ties_name_the_last_pair(self):
+        # entries +-1/2 make every residual exact, so the pairs l < k tie
+        a = validate(0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
+                                     [1, -1, -1, 1]]), tol=1e-12)
+        cycled = validate(a.entries[[0, 2, 3, 1]], tol=1e-12)
+        for b, worst in ((a, 0.0), (cycled, 1.0)):
+            report = pairing_check_rows(a, b, tol=1e-8)
+            assert report.worst_residual == worst
+            assert (report.worst_pair.l, report.worst_pair.k) == (2, 3)
+
+    def test_complex_diagonal_violation(self):
+        # <B_1, A_1> = i is not real: only the diagonal pair (1, 1) fails
+        a = generate_random(3, seed=4, complex_entries=True)
+        b = phased_partner(a, [1j, 1])
+        report = pairing_check_rows(a, b, tol=1e-8)
+        assert not report.holds
+        assert report.worst_residual == pytest.approx(2.0, abs=1e-12)
+        assert (report.worst_pair.l, report.worst_pair.k) == (1, 1)
+        assert pairing_check_basis(a, b, q=1).worst_residual == pytest.approx(2.0, abs=1e-12)
+
+    def test_complex_two_point_systems_can_fail(self):
+        a = generate_random(2, seed=0, complex_entries=True)
+        report = pairing_check_rows(a, phased_partner(a, [1j]), tol=1e-8)
+        assert not report.holds
+        assert report.worst_residual == pytest.approx(2.0, abs=1e-12)
+        assert (report.worst_pair.l, report.worst_pair.k) == (1, 1)
+
+    def test_dimension_mismatch(self, matrix_a):
+        with pytest.raises(DimensionMismatchError):
+            pairing_check_rows(matrix_a, generate_random(4, seed=0))
+
     def test_self_pair_holds(self, matrix_a):
         report = pairing_check_rows(matrix_a, matrix_a, tol=1e-12)
         assert report.holds
@@ -104,10 +194,13 @@ class TestPairingBasis:
         assert all(index < 3 for index in level_one.worst_indices)
 
     def test_level_one_matches_row_residual(self, matrix_a):
-        partner = rotated_partner(matrix_a, 0.13)
-        rows = pairing_check_rows(matrix_a, partner, tol=1e-8)
-        basis_level = pairing_check_basis(matrix_a, partner, q=1, tol=1e-8)
-        assert basis_level.worst_residual == pytest.approx(rows.worst_residual, abs=1e-12)
+        c = generate_random(3, seed=4, complex_entries=True)
+        for a, partner in ((matrix_a, rotated_partner(matrix_a, 0.13)),
+                           (c, phased_partner(c, [np.exp(0.3j), 1])),
+                           (c, generate_random(3, seed=8, complex_entries=True))):
+            rows = pairing_check_rows(a, partner, tol=1e-8)
+            basis_level = pairing_check_basis(a, partner, q=1, tol=1e-8)
+            assert basis_level.worst_residual == pytest.approx(rows.worst_residual, abs=1e-12)
 
     def test_index_zero_pairs_always_agree(self, matrix_a):
         # both sides reduce to inner products against the constant function,
@@ -339,6 +432,12 @@ class TestSolveCompanionNumeric:
             solve_companion_numeric(matrix_a, None, seed=0, tol=0.0)
         assert info.value.best_residual < 1e-6  # solver got close, bar was impossible
 
+    def test_certification_reads_the_pairing_residual(self, matrix_a, monkeypatch):
+        monkeypatch.setattr("gwalsh.protocol._pairing_residual", lambda b, a: np.ones((2, 2)))
+        with pytest.raises(NoConvergenceError) as info:
+            solve_companion_numeric(matrix_a, seed=0)
+        assert info.value.best_residual == 1.0
+
     def test_deterministic(self, matrix_a):
         first = solve_companion_numeric(matrix_a, None, seed=5, tol=1e-10)
         second = solve_companion_numeric(matrix_a, None, seed=5, tol=1e-10)
@@ -488,6 +587,14 @@ class TestRunExchange:
         path.write_text("[1, 2]")
         with pytest.raises(ValidationError):
             load_transcript(path)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_complex_diagonal_violation_flagged(self, n):
+        a = generate_random(n, seed=4 if n == 3 else 0, complex_entries=True)
+        b = phased_partner(a, [1j, 1][: n - 1])
+        transcript = run_exchange(a, b, random_signal(n, 2, seed=1))
+        assert transcript.pairing_violated
+        assert transcript.max_error > 1e-2
 
     def test_base_two_any_pair_works(self):
         a = generate_random(2, seed=0)

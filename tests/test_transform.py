@@ -350,8 +350,12 @@ class TestSerialization:
             "# gwalsh signal N=2 q=-1\n0\n",
             "# gwalsh signal N=2 q=1\nnan\n1\n",
             "# gwalsh signal N=2 q=1\n0\ninf,0\n",
+            "# gwalsh signal N=2 q=1\n0\n1_0\n",
+            "# gwalsh signal N=2 q=1\n0\n 1 , 2 \n",
+            "# gwalsh signal N=2 q=1\n0\n\u0661\n",
         ],
-        ids=["N=x", "q=y", "N=1", "N=0", "q=-1", "nan", "complex-inf"],
+        ids=["N=x", "q=y", "N=1", "N=0", "q=-1", "nan", "complex-inf", "underscore",
+             "spaced-pair", "arabic-digit"],
     )
     def test_malformed_header_or_value(self, text):
         with pytest.raises(ValidationError):
@@ -412,6 +416,8 @@ def _oracle_values_from_text(text, kind):
     for line in lines[1:]:
         parts = line.split(",")
         try:
+            if not set(line) <= set("0123456789.e+-,"):  # only what the writers emit
+                raise ValueError(line)
             if len(parts) == 1:
                 values.append(float(parts[0]))
             elif len(parts) == 2:
@@ -469,7 +475,8 @@ _value_lines = st.one_of(
     _floats.map(repr),
     st.tuples(_floats, _floats).map(lambda p: f"{p[0]!r},{p[1]!r}"),
     st.sampled_from(["", "   ", "\t", " 1.5 ", "-0.0", "-0.0,-0.0", " 1 , 2 ", "1,2,3",
-                     "1,", ",1", ",", "x", "1_0", "nan", "inf,0", "1e999", "0x1p3"]),
+                     "1,", ",1", ",", "x", "1_0", "nan", "inf,0", "1e999", "0x1p3",
+                     "\u0661", "1E5", "+1", "1\u00a0"]),
     st.text(alphabet="0123456789.,-+e_ \t", max_size=8),
 )
 
