@@ -203,7 +203,7 @@ def gram_defect(a: WalshMatrix, q: int) -> float:
     diagonal entries are the q-fold products of diag(G), which span
     [d_min^q, d_max^q] for d = |diag(G)|; its largest off-diagonal entry is
     the largest off-diagonal |G| times (max |G|)^(q-1).  N^q stays limited
-    to MAX_GRID: ``verify`` relies on this to reject a q too large for it.
+    to MAX_GRID.
     """
     _width(a.n, q, MAX_GRID)
     r = scaled_rows(a)

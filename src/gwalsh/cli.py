@@ -242,6 +242,8 @@ def cmd_kernel_check(args) -> int:
 
 def cmd_verify(args) -> int:
     a = load_matrix(args.matrix, tol=args.tol)
+    # the dense checks and the N^q-cell martingale signal below share one limit
+    basis._width(a.n, args.q, basis.MAX_GRID)
     report = {
         "n": a.n,
         "q": args.q,
@@ -252,7 +254,6 @@ def cmd_verify(args) -> int:
             a, args.q, samples=args.samples, seed=args.seed
         ),
     }
-    # after the basis checks, which reject a q too large for the signal
     q_sig = max(args.q, 2)
     mart = martingale_check(a, random_signal(a.n, q_sig, seed=args.seed), q_sig - 1)
     report["martingale_exp_residual"] = mart.exp_residual

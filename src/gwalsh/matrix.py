@@ -242,7 +242,7 @@ def matrix_from_dict(d: dict, tol: float | None = None) -> WalshMatrix:
         entries = np.array([[_entry_from_json(x) for x in row] for row in raw])
         declared = json_int(d["n"], "declared n") if "n" in d else None
         tol = float(d.get("tol", DEFAULT_EXTERNAL_TOL)) if tol is None else tol
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # float() of an int past 1e308 overflows
         raise ValidationError("matrix JSON entries, n and tol must be numbers") from None
     m = validate(entries, tol=tol)
     if declared is not None and declared != m.n:
@@ -266,7 +266,7 @@ def read_json(path, kind: str):
     """The parsed JSON of a ``kind`` input file; malformed text raises ValidationError."""
     try:
         return json.loads(read_text(path, kind))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # deep nesting exhausts the decoder
         raise ValidationError(f"malformed {kind} JSON in {path}: {e}") from e
 
 

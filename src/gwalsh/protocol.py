@@ -27,9 +27,12 @@ the solution set unchanged.  The masking hides nothing: every equation
 carries two rows of A, each up to that factor, so ``A[1:]`` can be read
 back from the published system up to sign.
 
-Exchange messages pass through a channel (in-memory or a directory of
-files) in the CSV wire formats of :mod:`gwalsh.transform`, so each step
-crosses a real serialization boundary.
+Exchange messages pass through a channel, which serializes each
+message on ``put`` and decodes and checks it on ``get``, so each step
+crosses a real serialization boundary.  Each channel owns its encoding:
+:class:`InMemoryChannel` keeps a small binary header and the raw values,
+:class:`DirectoryChannel` writes the CSV wire formats of
+:mod:`gwalsh.transform`.  Both round-trip every message bit-exactly.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,6 +63,7 @@ from .matrix import (
     json_int,
     json_values,
     read_json,
+    read_text,
     validate,
 )
 from .transform import (
@@ -351,27 +356,81 @@ def solve_companion_numeric(
 # ---------------------------------------------------------------------------
 
 
+def _message_kind(message) -> str:
+    if isinstance(message, Signal):
+        return "signal"
+    if isinstance(message, CoefficientVector):
+        return "coeffs"
+    raise TypeError(f"a channel carries Signal and CoefficientVector messages, "
+                    f"not {type(message).__name__}")
+
+
+# binary wire: kind code, dtype code, N and q as little-endian int64, then the values
+_WIRE_HEADER = struct.Struct("<ccqq")
+_WIRE_KINDS = {b"s": Signal, b"c": CoefficientVector}
+_WIRE_DTYPES = {b"f": np.dtype("<f8"), b"c": np.dtype("<c16")}
+
+
+def _message_to_bytes(message) -> bytes:
+    is_signal = _message_kind(message) == "signal"
+    values = message.values if is_signal else message.coeffs
+    code = b"c" if np.iscomplexobj(values) else b"f"
+    header = _WIRE_HEADER.pack(b"s" if is_signal else b"c", code, message.base, message.q)
+    return header + values.astype(_WIRE_DTYPES[code], copy=False).tobytes()
+
+
+def _message_from_bytes(payload: bytes):
+    if len(payload) < _WIRE_HEADER.size:
+        raise ValidationError(f"message of {len(payload)} bytes is shorter than its header")
+    kind_code, code, base, q = _WIRE_HEADER.unpack_from(payload)
+    if kind_code not in _WIRE_KINDS or code not in _WIRE_DTYPES:
+        raise ValidationError(f"unknown message kind {kind_code!r} or dtype code {code!r}")
+    if base < 2 or q < 0:
+        raise ValidationError(f"message header needs N >= 2 and q >= 0, got N={base}, q={q}")
+    dtype = _WIRE_DTYPES[code]
+    if (len(payload) - _WIRE_HEADER.size) % dtype.itemsize:
+        raise ValidationError(f"message body is not a whole number of {dtype} values")
+    values = np.frombuffer(payload, dtype=dtype, offset=_WIRE_HEADER.size)
+    if not np.isfinite(values).all():
+        raise ValidationError("non-finite value in a message")
+    return _WIRE_KINDS[kind_code](base, q, values)  # checks that there are N^q values
+
+
 class InMemoryChannel:
-    """Message channel that serializes through in-process text buffers."""
+    """Message channel that keeps each message as bytes in process memory.
+
+    A message is stored as an 18-byte header (kind, dtype code, N, q)
+    followed by its values as little-endian float64 or complex128, and is
+    decoded and checked again on every ``get``: a malformed payload (a
+    bad header, a value count other than N^q, a non-finite value) raises
+    :class:`ValidationError`.  The bytes never reach the disk.
+    """
 
     def __init__(self):
-        self._store: dict[str, str] = {}
+        self._store: dict[str, bytes] = {}
 
-    def put(self, name: str, text: str) -> None:
-        self._store[name] = text
+    def put(self, name: str, message) -> None:
+        self._store[name] = _message_to_bytes(message)
 
-    def get(self, name: str) -> str:
-        return self._store[name]
+    def get(self, name: str):
+        return _message_from_bytes(self._store[name])
 
 
 class DirectoryChannel:
-    """Message channel backed by files in a directory (one file per message)."""
+    """Message channel backed by files in a directory (one file per message).
+
+    Each file holds the library CSV of :mod:`gwalsh.transform` at ``repr``
+    precision, so it re-parses bit-exactly; ``get`` decodes by the kind
+    named in its header.
+    """
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def put(self, name: str, text: str) -> None:
+    def put(self, name: str, message) -> None:
+        text = (signal_to_text(message) if _message_kind(message) == "signal"
+                else coefficients_to_text(message))
         # write a unique temp file, then rename: a reader sees the old or new message whole
         tmp = self.directory / f".{name}.{os.urandom(8).hex()}.tmp"
         try:
@@ -380,8 +439,12 @@ class DirectoryChannel:
         finally:
             tmp.unlink(missing_ok=True)
 
-    def get(self, name: str) -> str:
-        return (self.directory / name).read_text()
+    def get(self, name: str):
+        text = read_text(self.directory / name, "message")
+        head = text.split(maxsplit=3)
+        if head[2:3] == ["signal"]:
+            return signal_from_text(text)
+        return coefficients_from_text(text)  # raises on any other header
 
 
 def run_exchange(
@@ -395,8 +458,8 @@ def run_exchange(
 
     A violated pairing condition is flagged, not fatal: the exchange
     proceeds and the transcript carries the (then typically large)
-    recovery error.  Every message crosses the channel in its CSV wire
-    format.
+    recovery error.  Every message crosses ``channel`` (by default an
+    :class:`InMemoryChannel`) through its ``put`` and ``get``.
     """
     if a.n != b.n:
         raise BaseMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
@@ -405,12 +468,16 @@ def run_exchange(
     channel = channel if channel is not None else InMemoryChannel()
     pairing = pairing_check_rows(a, b, tol=pairing_tol)
 
-    channel.put("w1.csv", coefficients_to_text(dwt_fast(a, s)))
-    w1 = coefficients_from_text(channel.get("w1.csv"))
-    channel.put("w2.csv", signal_to_text(idwt(b, w1)))
-    w2 = signal_from_text(channel.get("w2.csv"))
-    channel.put("w3.csv", coefficients_to_text(dwt_fast(a, w2)))
-    w3 = coefficients_from_text(channel.get("w3.csv"))
+    def relay(name: str, message):
+        channel.put(name, message)
+        received = channel.get(name)
+        if type(received) is not type(message):
+            raise ValidationError(f"message {name} arrived as a {_message_kind(received)} message")
+        return received
+
+    w1 = relay("w1.csv", dwt_fast(a, s))
+    w2 = relay("w2.csv", idwt(b, w1))
+    w3 = relay("w3.csv", dwt_fast(a, w2))
     recovered = idwt(b, w3)
 
     max_error = float(np.abs(recovered.values - s.values).max())
@@ -432,7 +499,7 @@ def run_exchange(
 def _seq_from_json(raw, name: str) -> np.ndarray:
     try:
         values = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"transcript {name} must be a list of numbers") from None
     if values.shape[1:] not in ((), (2,)) or not np.isfinite(values).all():  # null reads as NaN
         raise ValidationError(f"transcript {name} needs finite numbers or [re, im] pairs")
@@ -464,12 +531,16 @@ def transcript_from_dict(d: dict) -> ExchangeTranscript:
     max_error, violated = d["max_error"], d["pairing_violated"]
     if type(max_error) not in (int, float) or type(violated) is not bool:  # bool("false") is True
         raise ValidationError("transcript needs a number max_error and a boolean pairing_violated")
+    try:
+        max_error = float(max_error)
+    except OverflowError:  # an int past 1e308
+        raise ValidationError("transcript max_error does not fit a float") from None
     return ExchangeTranscript(
         w1=CoefficientVector(base=n, q=q, coeffs=w1),
         w2=Signal(base=n, q=q, values=w2),
         w3=CoefficientVector(base=n, q=q, coeffs=w3),
         recovered=Signal(base=n, q=q, values=recovered),
-        max_error=float(max_error),
+        max_error=max_error,
         pairing_violated=violated,
     )
 
@@ -495,7 +566,7 @@ def masked_system_from_list(raw, mask_seed: int | None = None) -> MaskedConstrai
         try:
             coeffs = {str(k): float(v) for k, v in item["coeffs"].items()}
             rhs = float(item.get("rhs", 0.0))
-        except (AttributeError, KeyError, TypeError, ValueError):
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
             raise ValidationError(f"bad masked equation {item!r}") from None
         if not np.isfinite([*coeffs.values(), rhs]).all():
             raise ValidationError(f"non-finite value in masked equation {item!r}")

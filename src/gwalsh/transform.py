@@ -38,11 +38,16 @@ from .errors import BaseMismatchError, ValidationError
 from .matrix import WalshMatrix, read_text
 
 
+def _is_cell_count(count: int, base: int, q: int) -> bool:
+    """count == base**q, deciding a q too large for count before forming the power."""
+    return (base < 2 or q <= count.bit_length()) and count == base**q  # N >= 2: N^q >= 2^q
+
+
 def _as_cells(values, base: int, q: int) -> np.ndarray:
     arr = np.asarray(values)
-    if arr.ndim != 1 or arr.shape[0] != base**q:
+    if arr.ndim != 1 or not _is_cell_count(arr.shape[0], base, q):
         raise ValidationError(
-            f"expected {base**q} cell values for base {base}, q {q}, got shape {arr.shape}"
+            f"expected N^q cell values for base {base}, q {q}, got shape {arr.shape}"
         )
     arr = np.array(arr, dtype=None if np.iscomplexobj(arr) else np.float64)
     arr.flags.writeable = False
@@ -238,9 +243,9 @@ def _values_from_text(text: str, kind: str) -> tuple[int, int, np.ndarray]:
         arr = np.fromiter(map(float, body), dtype=float, count=len(body))
     except ValueError:  # complex pairs, or a bad line to report
         arr = np.asarray([_parse_value(line) for line in body])
-    if arr.shape[0] != base**q:
+    if not _is_cell_count(arr.shape[0], base, q):
         raise ValidationError(
-            f"header declares {base**q} values, file contains {arr.shape[0]}"
+            f"header declares N^q = {base}^{q} values, file contains {arr.shape[0]}"
         )
     if not np.isfinite(arr).all():
         raise ValidationError(f"non-finite value in a gwalsh {kind} file")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference_values as rv
-from gwalsh import load_matrix, load_transcript, save_matrix
+from gwalsh import basis, cli, load_matrix, load_transcript, save_matrix
 from gwalsh.cli import main
 from gwalsh.transform import read_coefficients, read_signal
 
@@ -172,6 +172,19 @@ class TestCheckBoundaries:
         assert main(argv + ["--matrix", matrix_a_file, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_verify_limits_q_itself(self, tmp_path, matrix_a_file, monkeypatch):
+        # a gram_defect without the MAX_GRID cap must not let verify allocate 3^13 cells
+        monkeypatch.setattr(basis, "gram_defect", lambda a, q: 0.0)
+
+        def no_signal(*args, **kwargs):
+            raise AssertionError("verify built its N^q-cell signal")
+
+        monkeypatch.setattr(cli, "random_signal", no_signal)
+        out = tmp_path / "report.json"
+        argv = ["verify", "--matrix", matrix_a_file, "--q", "13", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+
 
 class TestMalformedCsv:
     @pytest.mark.parametrize(
@@ -186,8 +199,10 @@ class TestMalformedCsv:
             "# gwalsh signal N=3 q=1\n0\n1_0\n1\n",
             "# gwalsh signal N=3 q=1\n0\n 1 , 2 \n1\n",
             "# gwalsh signal N=3 q=1\n0\n\u0661\n1\n",
+            "# gwalsh signal N=3 q=1000000000\n0\n",  # 3^(10^9) is never formed
         ],
-        ids=["N=x", "N=1", "N=0", "q=-1", "nan", "underscore", "spaced-pair", "arabic-digit"],
+        ids=["N=x", "N=1", "N=0", "q=-1", "nan", "underscore", "spaced-pair", "arabic-digit",
+             "huge-q"],
     )
     def test_encode_exit_two(self, tmp_path, matrix_a_file, text):
         signal = tmp_path / "f.csv"

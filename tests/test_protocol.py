@@ -1,15 +1,23 @@
+import asyncio
+import struct
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_values as rv
 from gwalsh import (
+    CoefficientVector,
     DimensionMismatchError,
     DirectoryChannel,
+    InMemoryChannel,
     NoConvergenceError,
     NoRealSolutionError,
     Signal,
@@ -494,7 +502,8 @@ class TestRunExchange:
 
     def test_directory_channel_failed_write_keeps_old_message(self, tmp_path, monkeypatch):
         channel = DirectoryChannel(tmp_path / "msgs")
-        channel.put("w1.csv", "first\n")
+        first = CoefficientVector(base=3, q=1, coeffs=[0.5, -0.0, 1e-300])
+        channel.put("w1.csv", first)
         real_write_text = Path.write_text
 
         def write_half_then_fail(path, text, *args, **kwargs):
@@ -503,10 +512,27 @@ class TestRunExchange:
 
         monkeypatch.setattr(Path, "write_text", write_half_then_fail)
         with pytest.raises(OSError):
-            channel.put("w1.csv", "second message\n")
+            channel.put("w1.csv", CoefficientVector(base=3, q=2, coeffs=np.arange(9.0)))
         monkeypatch.undo()
-        assert channel.get("w1.csv") == "first\n"
+        assert channel.get("w1.csv").coeffs.tobytes() == first.coeffs.tobytes()
         assert [p.name for p in (tmp_path / "msgs").iterdir()] == ["w1.csv"]
+
+    def test_message_of_the_wrong_kind_raises_validation_error(self, matrix_a, signal_f):
+        class SwappingChannel(InMemoryChannel):
+            def get(self, name):
+                m = super().get(name)
+                return Signal(m.base, m.q, m.coeffs) if isinstance(m, CoefficientVector) else m
+
+        with pytest.raises(ValidationError, match="w1.csv"):
+            run_exchange(matrix_a, matrix_a, signal_f, channel=SwappingChannel())
+
+    def test_directory_channel_decodes_by_header_kind(self, tmp_path):
+        channel = DirectoryChannel(tmp_path)
+        channel.put("m", Signal(2, 1, [0.5, -0.0]))
+        assert type(channel.get("m")) is Signal
+        (tmp_path / "m").write_text("# gwalsh other N=2 q=1\n0.5\n1.0\n")
+        with pytest.raises(ValidationError):
+            channel.get("m")
 
     def test_masking_does_not_touch_exchange(self, matrix_a, signal_f):
         # masking only changes the published system; any seed yields a
@@ -619,6 +645,169 @@ class TestRunExchange:
         transcript = run_exchange(a, b, s)
         assert transcript.max_error <= 1e-7
         assert not transcript.pairing_violated
+
+
+def _stored(payload: bytes) -> InMemoryChannel:
+    channel = InMemoryChannel()
+    channel._store["m"] = payload
+    return channel
+
+
+def _wire(kind: bytes, code: bytes, n: int, q: int, values) -> bytes:
+    """The documented in-memory layout: kind, dtype code, N, q, little-endian values."""
+    dtype = "<c16" if code == b"c" else "<f8"
+    return struct.pack("<ccqq", kind, code, n, q) + np.asarray(values, dtype=dtype).tobytes()
+
+
+def _cells(message) -> np.ndarray:
+    return message.values if isinstance(message, Signal) else message.coeffs
+
+
+class TestInMemoryChannel:
+    @pytest.mark.parametrize("cls", [Signal, CoefficientVector])
+    @pytest.mark.parametrize("values", [
+        [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 0.1, 1e16, -2.5, 3.0, 1 / 3],
+        [complex(-0.0, -0.0), complex(-0.0, 1.0), complex(2.5, -0.0), -1j,
+         complex(5e-324, 1e300), 0j, 1 + 0j, complex(0.1, -0.0), complex(-3, 1 / 3)],
+    ], ids=["real", "complex"])
+    def test_round_trip_is_bit_exact(self, cls, values):
+        message = cls(3, 2, np.asarray(values))
+        channel = InMemoryChannel()
+        channel.put("m", message)
+        for _ in range(2):  # every get decodes the stored bytes again
+            received = channel.get("m")
+            assert type(received) is cls
+            assert (received.base, received.q) == (3, 2)
+            assert _cells(received).dtype == _cells(message).dtype
+            assert _cells(received).tobytes() == _cells(message).tobytes()
+
+    def test_stored_as_documented_bytes(self):
+        channel = InMemoryChannel()
+        channel.put("m", Signal(2, 1, [0.5, -0.0]))
+        assert channel._store["m"] == _wire(b"s", b"f", 2, 1, [0.5, -0.0])
+        channel.put("m", CoefficientVector(2, 0, np.array([1j], dtype=np.complex64)))
+        assert channel._store["m"] == _wire(b"c", b"c", 2, 0, [1j])
+
+    def test_put_rejects_text(self):
+        with pytest.raises(TypeError):
+            InMemoryChannel().put("m", "# gwalsh signal N=2 q=0\n1.0\n")
+
+    @pytest.mark.parametrize("payload", [
+        b"",
+        _wire(b"s", b"f", 3, 1, [1.0, 2.0, 3.0])[:10],
+        _wire(b"s", b"f", 3, 1, [1.0, 2.0, 3.0])[:-1],
+        _wire(b"s", b"f", 3, 1, [1.0, 2.0]),
+        _wire(b"s", b"f", 3, 2, [1.0, 2.0, 3.0]),
+        _wire(b"c", b"c", 2, 1, [1.0, 2.0, 3.0]),
+        _wire(b"s", b"f", 2, 2**62, [1.0, 2.0]),
+        _wire(b"x", b"f", 3, 1, [1.0, 2.0, 3.0]),
+        _wire(b"s", b"i", 3, 1, [1.0, 2.0, 3.0]),
+        _wire(b"s", b"f", 3, 1, [1.0, np.nan, 3.0]),
+        _wire(b"c", b"f", 3, 1, [1.0, -np.inf, 3.0]),
+        _wire(b"c", b"c", 3, 1, [1.0, complex(0, np.inf), 3.0]),
+        _wire(b"s", b"f", 3, -1, []),
+        _wire(b"s", b"f", 1, 0, [1.0]),
+        _wire(b"s", b"f", -3, 1, [1.0, 2.0, 3.0]),
+    ], ids=["empty", "truncated-header", "truncated-value", "too-few", "too-many",
+            "complex-too-few", "huge-q", "unknown-kind", "unknown-dtype", "nan", "inf",
+            "complex-inf", "negative-q", "base-one", "negative-base"])
+    def test_malformed_payload_raises_validation_error(self, payload):
+        with pytest.raises(ValidationError):
+            _stored(payload).get("m")
+
+
+@st.composite
+def _payloads(draw):
+    """Wire payloads whose every field is well formed with probability 3/4."""
+
+    def mostly(good, bad):
+        return draw(good if draw(st.integers(0, 3)) else bad)
+
+    kind = mostly(st.sampled_from([b"s", b"c"]), st.binary(min_size=1, max_size=1))
+    code = mostly(st.sampled_from([b"f", b"c"]), st.binary(min_size=1, max_size=1))
+    n = mostly(st.integers(2, 4), st.integers(-2**63, 2**63 - 1))
+    q = mostly(st.integers(0, 3), st.integers(-2**63, 2**63 - 1))
+    count = mostly(st.just(n**q if 2 <= n <= 4 and 0 <= q <= 3 else 0), st.integers(0, 70))
+    width = 2 if code == b"c" else 1
+    finite = bool(draw(st.integers(0, 3)))
+    floats = draw(st.lists(st.floats(allow_nan=not finite, allow_infinity=not finite),
+                           min_size=count * width, max_size=count * width))
+    raw = struct.pack("<ccqq", kind, code, n, q) + np.array(floats, dtype="<f8").tobytes()
+    return mostly(st.just(raw), st.integers(0, len(raw)).map(lambda cut: raw[:cut]))
+
+
+@settings(max_examples=200)
+@given(st.one_of(_payloads(), st.binary(max_size=80)))
+@example(_wire(b"c", b"c", 2, 1, [complex(-0.0, 1.0), complex(1e-310, -0.0)]))
+def test_any_stored_bytes_decode_or_raise_validation_error(payload):
+    try:
+        message = _stored(payload).get("m")
+    except ValidationError:
+        return
+    assert len(_cells(message)) == message.base**message.q
+    assert np.isfinite(_cells(message)).all()
+    again = InMemoryChannel()
+    again.put("m", message)
+    assert again._store["m"] == payload  # a payload that decodes is exactly its re-encoding
+
+
+class TestConcurrentExchange:
+    """The default channel keeps no shared state: concurrent exchanges need no locking."""
+
+    @staticmethod
+    def _inputs():
+        a = generate_random(3, seed=41)
+        b = solve_companion(a, 0.3)
+        signals = [random_signal(3, 6, seed=70 + i, complex_values=i == 3) for i in range(4)]
+        return a, b, signals
+
+    @staticmethod
+    def _assert_same(transcripts, serial):
+        assert len(transcripts) == len(serial)
+        for got, want in zip(transcripts, serial):
+            for field in ("w1", "w2", "w3", "recovered"):
+                got_msg, want_msg = getattr(got, field), getattr(want, field)
+                assert np.array_equal(_cells(got_msg), _cells(want_msg))
+            assert got.max_error == want.max_error
+            assert got.pairing_violated == want.pairing_violated
+
+    def test_threads(self):
+        a, b, signals = self._inputs()
+        serial = [run_exchange(a, b, s) for s in signals]
+        results = [None] * len(signals)
+        barrier = threading.Barrier(len(signals), timeout=10)
+
+        def worker(i):
+            barrier.wait()
+            results[i] = [run_exchange(a, b, signals[i]) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(signals))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, runs in enumerate(results):
+            self._assert_same(runs, [serial[i]] * len(runs))
+
+    def test_asyncio_tasks(self):
+        a, b, signals = self._inputs()
+        serial = [run_exchange(a, b, s) for s in signals]
+
+        async def exchange_all():
+            loop = asyncio.get_running_loop()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                tasks = [asyncio.create_task(asyncio.wait_for(
+                    loop.run_in_executor(pool, run_exchange, a, b, s), timeout=60))
+                    for s in signals]
+                return await asyncio.gather(*tasks)
+
+        self._assert_same(asyncio.run(exchange_all()), serial)
 
 
 def test_import_loads_no_scipy():

@@ -429,7 +429,7 @@ def _oracle_values_from_text(text, kind):
     arr = np.asarray(values)
     if arr.shape[0] != base**q:
         raise ValidationError(
-            f"header declares {base**q} values, file contains {arr.shape[0]}"
+            f"header declares N^q = {base}^{q} values, file contains {arr.shape[0]}"
         )
     if not np.isfinite(arr).all():
         raise ValidationError(f"non-finite value in a gwalsh {kind} file")
