@@ -71,9 +71,6 @@ class WalshMatrix:
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.entries)
 
-    def row(self, i: int) -> np.ndarray:
-        return self.entries[i]
-
     def unitarity_defect(self) -> float:
         """Entrywise max deviation of the conjugate-transpose product from I."""
         gram = self.entries.conj().T @ self.entries
@@ -99,8 +96,8 @@ def validate(entries, tol: float = DEFAULT_EXTERNAL_TOL) -> WalshMatrix:
     within ``tol`` of them.  Raises :class:`BadDimensionError`,
     :class:`BadFirstRowError` or :class:`NotUnitaryError` otherwise.
     """
-    if not tol > 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
     arr = np.asarray(entries)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise BadDimensionError(f"entries must be square, got shape {arr.shape}")
@@ -210,19 +207,33 @@ def json_values(values: np.ndarray) -> list:
     return values.tolist()
 
 
+def json_numbers(raw, name: str, ndim: int) -> np.ndarray:
+    """JSON numbers as a float64 array of ``ndim`` axes, or complex128 from [re, im] pairs.
+
+    Pairs form one more trailing axis (never at ndim 0) and are viewed, not
+    summed, so a -0.0 part keeps its sign.  Every leaf must be an int or a
+    float, finite and within float range; anything else raises ValidationError.
+    """
+    tree = np.array(raw, dtype=object)
+    pairs = ndim > 0 and tree.shape[ndim:] == (2,)
+    try:
+        if tree.ndim != ndim + pairs or not set(map(type, tree.flat)) <= {int, float}:
+            raise ValueError  # a string, boolean, null, ragged list or wrong depth
+        values = tree.astype(np.float64)  # an int past 1e308 raises OverflowError
+        if not np.isfinite(values).all():
+            raise ValueError
+    except (ValueError, OverflowError):
+        what = "a finite JSON number" if ndim == 0 else (
+            f"finite JSON numbers or [re, im] pairs, nested {ndim} deep")
+        raise ValidationError(f"{name} must be {what}") from None
+    return values.view(np.complex128)[..., 0] if pairs else values
+
+
 def json_int(value, name: str) -> int:
     """An integer read from JSON: an int, or a float with no fractional part."""
     if type(value) is not int and not (type(value) is float and value.is_integer()):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _entry_from_json(x):
-    if isinstance(x, (list, tuple)):
-        if len(x) != 2:
-            raise ValidationError(f"complex entry must be a [re, im] pair, got {x!r}")
-        return complex(float(x[0]), float(x[1]))
-    return float(x)
 
 
 def matrix_to_dict(m: WalshMatrix) -> dict:
@@ -234,17 +245,12 @@ def matrix_to_dict(m: WalshMatrix) -> dict:
 
 
 def matrix_from_dict(d: dict, tol: float | None = None) -> WalshMatrix:
-    try:
-        raw = d["entries"]
-    except (KeyError, TypeError):
-        raise ValidationError("matrix JSON must contain an 'entries' field") from None
-    try:
-        entries = np.array([[_entry_from_json(x) for x in row] for row in raw])
-        declared = json_int(d["n"], "declared n") if "n" in d else None
-        tol = float(d.get("tol", DEFAULT_EXTERNAL_TOL)) if tol is None else tol
-    except (TypeError, ValueError, OverflowError):  # float() of an int past 1e308 overflows
-        raise ValidationError("matrix JSON entries, n and tol must be numbers") from None
-    m = validate(entries, tol=tol)
+    if not isinstance(d, dict) or "entries" not in d:
+        raise ValidationError("matrix JSON must be an object with an 'entries' field")
+    entries = json_numbers(d["entries"], "matrix entries", 2)
+    declared = json_int(d["n"], "declared n") if "n" in d else None
+    file_tol = json_numbers(d.get("tol", DEFAULT_EXTERNAL_TOL), "matrix tol", 0)
+    m = validate(entries, tol=file_tol if tol is None else tol)
     if declared is not None and declared != m.n:
         raise ValidationError(f"declared n={d['n']} does not match entries of size {m.n}")
     return m

@@ -61,6 +61,7 @@ from .matrix import (
     WalshMatrix,
     constant_row,
     json_int,
+    json_numbers,
     json_values,
     read_json,
     read_text,
@@ -109,7 +110,6 @@ class CompanionFamily:
     base_matrix: WalshMatrix
     admissible_bound: float
     branch: str
-    free_param_name: str = "r"
 
     @property
     def admissible_range(self) -> tuple[float, float]:
@@ -137,7 +137,6 @@ class MaskedConstraintSystem:
 
     n: int
     equations: tuple[MaskedEquation, ...]
-    mask_seed: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +283,19 @@ def mask_constraints(a: WalshMatrix, mask_seed: int) -> MaskedConstraintSystem:
                 coeffs[f"b_{l}_{j}"] = scale * float(entries[k, j])
                 coeffs[f"b_{k}_{j}"] = -scale * float(entries[l, j])
             equations.append(MaskedEquation(coeffs=coeffs, rhs=0.0))
-    return MaskedConstraintSystem(n=a.n, equations=tuple(equations), mask_seed=mask_seed)
+    return MaskedConstraintSystem(n=a.n, equations=tuple(equations))
+
+
+def _unknown_index(name) -> tuple[int, int]:
+    """Row and column of an unknown named exactly ``b_<i>_<j>``, with i >= 1 and j >= 0."""
+    try:
+        _, i, j = name.split("_")
+        i, j = int(i), int(j)
+        if name != f"b_{i}_{j}" or i < 1 or j < 0:  # int() also reads " 2", "01" and "١"
+            raise ValueError
+    except (AttributeError, ValueError):
+        raise ValidationError(f"bad unknown name {name!r}") from None
+    return i, j
 
 
 def _masked_rows(masked: MaskedConstraintSystem, n: int) -> list[tuple[np.ndarray, float]]:
@@ -293,15 +304,11 @@ def _masked_rows(masked: MaskedConstraintSystem, n: int) -> list[tuple[np.ndarra
     for eq in masked.equations:
         coeff = np.zeros((n - 1, n))
         for name, value in eq.coeffs.items():
-            try:
-                _, i, j = name.split("_")
-                i, j = int(i), int(j)
-            except ValueError:
-                raise ValidationError(f"bad unknown name {name!r}") from None
-            if not (1 <= i < n and 0 <= j < n):
+            i, j = _unknown_index(name)
+            if not (i < n and j < n):
                 raise ValidationError(f"unknown {name!r} out of range for n={n}")
-            coeff[i - 1, j] = float(value)
-        rows.append((coeff, float(eq.rhs)))
+            coeff[i - 1, j] = value
+        rows.append((coeff, eq.rhs))
     return rows
 
 
@@ -496,17 +503,6 @@ def run_exchange(
 # ---------------------------------------------------------------------------
 
 
-def _seq_from_json(raw, name: str) -> np.ndarray:
-    try:
-        values = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"transcript {name} must be a list of numbers") from None
-    if values.shape[1:] not in ((), (2,)) or not np.isfinite(values).all():  # null reads as NaN
-        raise ValidationError(f"transcript {name} needs finite numbers or [re, im] pairs")
-    # [re, im] pairs are viewed as complex, not summed, so -0.0 parts keep their sign
-    return values.view(complex)[:, 0] if values.ndim == 2 else values
-
-
 def transcript_to_dict(t: ExchangeTranscript) -> dict:
     return {
         "n": t.w1.base,
@@ -527,14 +523,11 @@ def transcript_from_dict(d: dict) -> ExchangeTranscript:
     n, q = json_int(d["n"], "transcript n"), json_int(d["q"], "transcript q")
     if n < 2 or q < 0:
         raise ValidationError(f"transcript needs n >= 2 and q >= 0, got n={n}, q={q}")
-    w1, w2, w3, recovered = (_seq_from_json(d[key], key) for key in fields[2:6])
-    max_error, violated = d["max_error"], d["pairing_violated"]
-    if type(max_error) not in (int, float) or type(violated) is not bool:  # bool("false") is True
-        raise ValidationError("transcript needs a number max_error and a boolean pairing_violated")
-    try:
-        max_error = float(max_error)
-    except OverflowError:  # an int past 1e308
-        raise ValidationError("transcript max_error does not fit a float") from None
+    w1, w2, w3, recovered = (json_numbers(d[key], f"transcript {key}", 1) for key in fields[2:6])
+    max_error = json_numbers(d["max_error"], "transcript max_error", 0).item()
+    violated = d["pairing_violated"]
+    if type(violated) is not bool:  # bool("false") is True
+        raise ValidationError("transcript pairing_violated must be a JSON boolean")
     return ExchangeTranscript(
         w1=CoefficientVector(base=n, q=q, coeffs=w1),
         w2=Signal(base=n, q=q, values=w2),
@@ -557,29 +550,24 @@ def masked_system_to_list(m: MaskedConstraintSystem) -> list:
     return [{"coeffs": dict(eq.coeffs), "rhs": eq.rhs} for eq in m.equations]
 
 
-def masked_system_from_list(raw, mask_seed: int | None = None) -> MaskedConstraintSystem:
+def masked_system_from_list(raw) -> MaskedConstraintSystem:
     if not isinstance(raw, list):
         raise ValidationError("masked system JSON must be a list of equations")
     equations = []
     n = 0
     for item in raw:
-        try:
-            coeffs = {str(k): float(v) for k, v in item["coeffs"].items()}
-            rhs = float(item.get("rhs", 0.0))
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
-            raise ValidationError(f"bad masked equation {item!r}") from None
-        if not np.isfinite([*coeffs.values(), rhs]).all():
-            raise ValidationError(f"non-finite value in masked equation {item!r}")
-        for name in coeffs:
-            try:
-                _, i, j = name.split("_")
-                n = max(n, int(i) + 1, int(j) + 1)
-            except ValueError:
-                raise ValidationError(f"bad unknown name {name!r}") from None
+        coeffs = item.get("coeffs") if isinstance(item, dict) else None
+        if not isinstance(coeffs, dict):
+            raise ValidationError(f"masked equation needs a 'coeffs' object, got {item!r}")
+        for i, j in map(_unknown_index, coeffs):
+            n = max(n, i + 1, j + 1)
+        coeffs = {name: json_numbers(v, f"masked coefficient {name}", 0).item()
+                  for name, v in coeffs.items()}
+        rhs = json_numbers(item.get("rhs", 0.0), "masked rhs", 0).item()
         equations.append(MaskedEquation(coeffs=coeffs, rhs=rhs))
     if n < 2:
         raise ValidationError("masked system names no unknowns")
-    return MaskedConstraintSystem(n=n, equations=tuple(equations), mask_seed=mask_seed)
+    return MaskedConstraintSystem(n=n, equations=tuple(equations))
 
 
 def save_masked_system(m: MaskedConstraintSystem, path) -> None:

@@ -230,8 +230,11 @@ def _values_from_text(text: str, kind: str) -> tuple[int, int, np.ndarray]:
             head[3][:2], head[4][:2]) != ("N=", "q="):
         raise ValidationError(f"bad header for a gwalsh {kind} file: {lines[0]!r}")
     try:
-        base = int(head[3][2:])
-        q = int(head[4][2:])
+        fields = (head[3][2:], head[4][2:])
+        # int() also reads "+3", "0_3" and non-ASCII digits, which the writers never emit
+        if not all(f.isascii() and f.removeprefix("-").isdigit() for f in fields):
+            raise ValueError
+        base, q = map(int, fields)
     except ValueError:
         raise ValidationError(f"non-integer N or q in header: {lines[0]!r}") from None
     if base < 2 or q < 0:

@@ -164,8 +164,11 @@ class TestCheckBoundaries:
             ["kernel-check", "--q", "3", "--samples", "0"],
             ["kernel-check", "--q", "40"],  # 3^40 cells exceed 2^53
             ["verify", "--q", "8"],  # 3^8 cells exceed MAX_GRID = 2048
+            ["verify", "--q", "2", "--tol", "inf"],  # every check would pass
+            ["kernel-check", "--q", "2", "--tol", "inf"],
         ],
-        ids=["verify-q0", "kernel-check-q0", "samples0", "cells-over-2^53", "verify-over-grid"],
+        ids=["verify-q0", "kernel-check-q0", "samples0", "cells-over-2^53", "verify-over-grid",
+             "verify-tol-inf", "kernel-check-tol-inf"],
     )
     def test_rejected_with_exit_two(self, tmp_path, matrix_a_file, argv):
         out = tmp_path / "report.json"
@@ -200,9 +203,13 @@ class TestMalformedCsv:
             "# gwalsh signal N=3 q=1\n0\n 1 , 2 \n1\n",
             "# gwalsh signal N=3 q=1\n0\n\u0661\n1\n",
             "# gwalsh signal N=3 q=1000000000\n0\n",  # 3^(10^9) is never formed
+            # header integers int() reads but the writers never emit
+            "# gwalsh signal N=0_3 q=1\n0\n1\n2\n",
+            "# gwalsh signal N=\u0663 q=1\n0\n1\n2\n",
+            "# gwalsh signal N=+3 q=1\n0\n1\n2\n",
         ],
         ids=["N=x", "N=1", "N=0", "q=-1", "nan", "underscore", "spaced-pair", "arabic-digit",
-             "huge-q"],
+             "huge-q", "header-underscore", "header-arabic-digit", "header-plus"],
     )
     def test_encode_exit_two(self, tmp_path, matrix_a_file, text):
         signal = tmp_path / "f.csv"
@@ -229,8 +236,12 @@ class TestMalformedMatrix:
             {"entries": 3},
             {"entries": [[0.5, "x"], [0.5, -0.5]]},
             {"n": "z", "entries": rv.MATRIX_A.tolist()},
+            {"entries": [rv.MATRIX_A[0].tolist(), [repr(x) for x in rv.MATRIX_A[1].tolist()],
+                         rv.MATRIX_A[2].tolist()]},
+            {"entries": [[False if x == 0 else x for x in row] for row in rv.MATRIX_A.tolist()]},
+            {"tol": float("inf"), "entries": rv.MATRIX_A.tolist()},
         ],
-        ids=["entries-int", "entry-str", "n-str"],
+        ids=["entries-int", "entry-str", "n-str", "entry-numeric-str", "entry-bool", "tol-inf"],
     )
     def test_encode_exit_two(self, tmp_path, payload):
         matrix = tmp_path / "A.json"

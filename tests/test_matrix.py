@@ -24,6 +24,13 @@ from gwalsh import (
 from gwalsh.matrix import constant_row, matrix_from_dict
 
 
+def _matrix_a_with(value, i, j):
+    """The rows of the reference matrix A as JSON lists, with [i][j] replaced by ``value``."""
+    rows = rv.MATRIX_A.tolist()
+    rows[i][j] = value
+    return rows
+
+
 class TestValidate:
     def test_example_matrix_valid(self):
         m = validate(rv.MATRIX_A, tol=1e-10)
@@ -218,9 +225,14 @@ class TestSerialization:
             {"entries": [[0.5, 0.5], [0.5]]},
             {"entries": [[0.5, None], [0.5, -0.5]]},
             {"n": 3.7, "entries": rv.MATRIX_A.tolist()},
+            # each of these loaded before, as a valid matrix
+            {"entries": _matrix_a_with(repr(float(rv.MATRIX_A[1, 0])), 1, 0)},
+            {"entries": _matrix_a_with(False, 1, 1)},
+            {"entries": _matrix_a_with([float(rv.MATRIX_A[1, 0]), 0.0], 1, 0)},
+            {"tol": float("inf"), "entries": rv.MATRIX_A.tolist()},
         ],
         ids=["entries-int", "entry-str", "n-str", "tol-str", "ragged", "entry-null",
-             "n-fraction"],
+             "n-fraction", "entry-numeric-str", "entry-bool", "mixed-pair-row", "tol-inf"],
     )
     def test_malformed_fields_raise_validation_error(self, payload):
         with pytest.raises(ValidationError):

@@ -367,9 +367,19 @@ class TestMaskConstraints:
             [{"coeffs": {"b_1_0": float("nan")}}],
             [{"coeffs": {"b_1_0": 1.0}, "rhs": float("inf")}],
             3,
+            [{"coeffs": {"b_1_0": "2.5"}}],
+            [{"coeffs": {"b_1_0": True}}],
+            [{"coeffs": {"b_1_0": 1.0}, "rhs": "1"}],
+            [{"coeffs": {"b_1_0": [1.0, 0.0]}, "rhs": [0.0, 0.0]}],
+            [{"coeffs": {"b_1_0": 1.0, "b_01_0": 2.0}}],  # both name the unknown b_1_0
+            [{"coeffs": {"b_\u0661_2": 1.0}}],
+            [{"coeffs": {"b_ 2_1": 1.0}}],
+            [{"coeffs": {"b_0_1": 1.0}}],  # row 0 is the constant row
         ],
         ids=["dict-root", "list-item", "no-coeffs", "list-coeffs", "str-coeff",
-             "null-coeff", "nan-coeff", "inf-rhs", "int-root"],
+             "null-coeff", "nan-coeff", "inf-rhs", "int-root", "numeric-str-coeff",
+             "bool-coeff", "str-rhs", "complex-pairs", "leading-zero-name", "arabic-digit-name",
+             "spaced-name", "row-zero-name"],
     )
     def test_malformed_system_raises_validation_error(self, raw):
         with pytest.raises(ValidationError):
@@ -584,10 +594,14 @@ class TestRunExchange:
             lambda d: d.__setitem__("max_error", None),
             lambda d: d.__setitem__("pairing_violated", "false"),
             lambda d: d.__setitem__("pairing_violated", 0),
+            lambda d: d["w1"].__setitem__(1, "0.5"),
+            lambda d: d["w2"].__setitem__(0, True),
+            lambda d: d.__setitem__("max_error", float("inf")),
         ],
         ids=["missing-message", "missing-n", "null-value", "string-value", "message-str",
              "triples", "n-fraction", "n-str", "q-fraction", "q-null", "base-one",
-             "max-error-str", "max-error-null", "violated-str", "violated-int"],
+             "max-error-str", "max-error-null", "violated-str", "violated-int",
+             "numeric-str-value", "bool-value", "max-error-inf"],
     )
     def test_malformed_transcript_raises_validation_error(self, matrix_a, signal_f, edit):
         d = transcript_to_dict(run_exchange(matrix_a, matrix_a, signal_f))

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -353,9 +354,14 @@ class TestSerialization:
             "# gwalsh signal N=2 q=1\n0\n1_0\n",
             "# gwalsh signal N=2 q=1\n0\n 1 , 2 \n",
             "# gwalsh signal N=2 q=1\n0\n\u0661\n",
+            # header integers int() reads but the writers never emit
+            "# gwalsh signal N=0_2 q=1\n0\n1\n",
+            "# gwalsh signal N=\u0662 q=1\n0\n1\n",
+            "# gwalsh signal N=+2 q=1\n0\n1\n",
         ],
         ids=["N=x", "q=y", "N=1", "N=0", "q=-1", "nan", "complex-inf", "underscore",
-             "spaced-pair", "arabic-digit"],
+             "spaced-pair", "arabic-digit", "header-underscore", "header-arabic-digit",
+             "header-plus"],
     )
     def test_malformed_header_or_value(self, text):
         with pytest.raises(ValidationError):
@@ -406,6 +412,9 @@ def _oracle_values_from_text(text, kind):
     ):
         raise ValidationError(f"bad header for a gwalsh {kind} file: {lines[0]!r}")
     try:
+        for field in (head[3][2:], head[4][2:]):
+            if not re.fullmatch(r"-?[0-9]+", field):  # only what the writers emit
+                raise ValueError(field)
         base = int(head[3][2:])
         q = int(head[4][2:])
     except ValueError:
@@ -496,6 +505,10 @@ def _csv_texts(draw):
         f"# gwalsh {kind} N=1 q={q}",
         f"# gwalsh {kind} N={base} q=-1",
         f"#gwalsh {kind} N={base} q={q}",
+        f"# gwalsh {kind} N=+{base} q={q}",
+        f"# gwalsh {kind} N=0_{base} q={q}",
+        f"# gwalsh {kind} N={base} q=\u0660{q}",
+        f"# gwalsh {kind} N={base} q=--{q}",
     ]))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join([header, *lines]) + draw(st.sampled_from(["", newline]))
