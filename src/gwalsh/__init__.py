@@ -38,7 +38,6 @@ from .matrix import (
 )
 from .basis import (
     CellIndex,
-    digit_reversal_permutation,
     digits,
     dirichlet_kernel,
     gram_defect,

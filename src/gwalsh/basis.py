@@ -57,7 +57,7 @@ def digits(n: int, base: int, pad_to: int | None = None) -> tuple[int, ...]:
     if base < 2:
         raise ValidationError(f"base must be at least 2, got {base}")
     width = digit_length(n, base) if pad_to is None else pad_to
-    if pad_to is not None and n >= base**pad_to:
+    if pad_to is not None and digit_length(n, base) > pad_to:  # n >= N^pad_to, never formed
         raise DigitOverflowError(f"{n} does not fit in {pad_to} base-{base} digits")
     out = []
     for _ in range(width):
@@ -75,11 +75,25 @@ def r_map(x: float, base: int) -> float:
     return scaled - l
 
 
+def cell_count(base: int, q: int, limit: int = 2**53) -> int:
+    """N^q, the number of resolution-q cells, for N >= 2, q >= 0 and N^q <= limit.
+
+    N^q >= 2^q, so a q longer than ``limit.bit_length()`` is rejected before
+    the power is formed.  The default limit keeps every cell index exact in
+    a double; dense N^q x N^q matrices are limited to MAX_GRID.
+    """
+    if base < 2 or q < 0:
+        raise ValidationError(f"cell counts need N >= 2 and q >= 0, got N={base}, q={q}")
+    if q > limit.bit_length() or base**q > limit:
+        raise ValidationError(f"N^q = {base}^{q} exceeds the limit of {limit} cells")
+    return base**q
+
+
 def cell_of(x: float, base: int, q: int) -> CellIndex:
     """Resolution-q cell containing x in [0, 1)."""
     if not 0.0 <= x < 1.0:
         raise OutOfDomainError(f"x must lie in [0, 1), got {x!r}")
-    width = base**q
+    width = cell_count(base, q)
     j = min(int(x * width), width - 1)
     return CellIndex(q=q, j=j)
 
@@ -94,11 +108,6 @@ def scaled_rows(a: WalshMatrix) -> np.ndarray:
     r[0, :] = 1.0
     r.flags.writeable = False
     return r
-
-
-def digit_reversal_permutation(base: int, q: int) -> np.ndarray:
-    """Permutation sending each index to the one with reversed base-N digits."""
-    return np.arange(base**q).reshape((base,) * q).T.ravel()
 
 
 def _check_row(a: WalshMatrix, i: int) -> None:
@@ -138,7 +147,7 @@ def walsh_on_grid(a: WalshMatrix, n: int, q: int) -> np.ndarray:
 
     Entry j equals ``walsh_eval(a, n, (2 j + 1) / (2 N^q))``.
     """
-    width = a.n**q
+    width = cell_count(a.n, q)
     if not 0 <= n < width:
         raise DigitOverflowError(f"need n < N^q = {width}, got n={n}")
     r = scaled_rows(a)
@@ -148,16 +157,10 @@ def walsh_on_grid(a: WalshMatrix, n: int, q: int) -> np.ndarray:
 
 
 def _width(base: int, q: int, limit: int = 2**53) -> int:
-    """N^q, checking q >= 1 and N^q <= limit.
-
-    The default limit keeps every cell index exact in a double; dense
-    N^q x N^q matrices are limited to MAX_GRID.
-    """
+    """:func:`cell_count` for a resolution q >= 1."""
     if q < 1:
         raise ValidationError(f"resolution q must be at least 1, got {q}")
-    if base**q > limit:
-        raise ValidationError(f"N^q = {base}^{q} exceeds the limit of {limit} cells")
-    return base**q
+    return cell_count(base, q, limit)
 
 
 def _kernel_product(a: WalshMatrix, q: int, jx, jt):
@@ -188,10 +191,11 @@ def dirichlet_kernel(a: WalshMatrix, q: int, x: float, t: float):
 
 def grid_matrix(a: WalshMatrix, q: int) -> np.ndarray:
     """Dense (N^q, N^q) matrix with entry [n, j] = W_n on cell j."""
-    _width(a.n, q, MAX_GRID)
-    r = scaled_rows(a)
-    power = reduce(np.kron, [r] * q)
-    return power[digit_reversal_permutation(a.n, q), :]
+    width = _width(a.n, q, MAX_GRID)
+    # the Kronecker power's row digits run most significant first, n's least
+    # significant first: reverse the row axes of the (N,)*q view
+    power = reduce(np.kron, [scaled_rows(a)] * q).reshape((a.n,) * q + (width,))
+    return power.transpose(*range(q)[::-1], q).reshape(width, width)
 
 
 def gram_defect(a: WalshMatrix, q: int) -> float:

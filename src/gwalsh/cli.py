@@ -44,17 +44,18 @@ from .transform import (
 CSV_DIGITS = 12
 
 
-def _add_matrix_arg(p, required=True):
-    p.add_argument("--matrix", required=required, help="matrix JSON file")
+def _add_matrix_arg(p):
+    p.add_argument("--matrix", required=True, help="matrix JSON file")
     # also accepted after the subcommand; SUPPRESS keeps the top-level default
     p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                    help="validation/check tolerance (default 1e-8)")
 
 
 def _add_signal_args(p):
-    p.add_argument("--signal", help="signal CSV file")
-    p.add_argument("--signal-inline", dest="signal_inline",
-                   help="signal as a digit string, one character per cell")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--signal", help="signal CSV file")
+    source.add_argument("--signal-inline", dest="signal_inline",
+                        help="signal as a digit string, one character per cell")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,10 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen-matrix", help="generate a Walsh-generating matrix")
-    p.add_argument("--n", type=int, help="base N (random generation)")
+    spec = p.add_mutually_exclusive_group()
+    spec.add_argument("--n", type=int, help="base N (random generation)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--complex", action="store_true", help="complex entries (random generation)")
-    p.add_argument("--entry", type=float, help="prescribed leading entry (3x3 closed form)")
+    spec.add_argument("--entry", type=float, help="prescribed leading entry (3x3 closed form)")
     p.add_argument("--row", type=int, choices=(2, 3), default=2,
                    help="1-based row receiving --entry")
     p.add_argument("--branch", choices=("plus", "minus"), default="plus")
@@ -128,12 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exchange", help="run the four-step exchange")
     _add_matrix_arg(p)
-    p.add_argument("--matrix-b", dest="matrix_b", help="companion matrix JSON file")
-    p.add_argument("--r", type=float, help="derive the companion in closed form")
+    partner = p.add_mutually_exclusive_group()
+    partner.add_argument("--matrix-b", dest="matrix_b", help="companion matrix JSON file")
+    partner.add_argument("--r", type=float, help="derive the companion in closed form")
     p.add_argument("--branch", choices=("plus", "minus"), default="plus")
-    p.add_argument("--mask-seed", dest="mask_seed", type=int,
-                   help="derive the companion numerically, certified against the "
-                        "masked system with this seed")
+    partner.add_argument("--mask-seed", dest="mask_seed", type=int,
+                         help="derive the companion numerically, certified against the "
+                              "masked system with this seed")
     p.add_argument("--seed", type=int, default=0)
     _add_signal_args(p)
     p.add_argument("--msg-dir", dest="msg_dir", help="stage messages as files here")
@@ -172,8 +175,10 @@ def cmd_gen_matrix(args) -> int:
 
 
 def cmd_solve_b(args) -> int:
+    if args.r is not None and (args.numeric or args.mask_seed is not None):
+        raise ValidationError("--r (closed form) excludes --numeric and --mask-seed")
     a = load_matrix(args.matrix, tol=args.tol)
-    if args.numeric or args.r is None:
+    if args.r is None:
         masked = None
         if args.mask_seed is not None:
             masked = mask_constraints(a, args.mask_seed)

@@ -79,6 +79,9 @@ from .transform import (
 )
 from .basis import grid_matrix
 
+#: row pairing residual above which run_exchange flags the pairing as violated
+PAIRING_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class PairingReport:
@@ -187,9 +190,9 @@ def pairing_check_basis(
     """Brute-force L2 check of the companion condition on all Walsh pairs < N^q."""
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
-    width = a.n**q
     ga = grid_matrix(a, q)
     gb = grid_matrix(b, q)
+    width = len(ga)
     lhs = (gb @ ga.conj().T) / width  # [l, k] = <W_l of B, W_k of A>
     # <W_l of A, W_k of B> = conj(<W_k of B, W_l of A>) = conj(lhs[k, l])
     residuals = np.abs(lhs - lhs.conj().T)
@@ -459,13 +462,12 @@ def run_exchange(
     b: WalshMatrix,
     s: Signal,
     channel=None,
-    pairing_tol: float = 1e-7,
 ) -> ExchangeTranscript:
     """Run the four-step exchange and record the transcript.
 
-    A violated pairing condition is flagged, not fatal: the exchange
-    proceeds and the transcript carries the (then typically large)
-    recovery error.  Every message crosses ``channel`` (by default an
+    A row pairing residual above ``PAIRING_TOL`` is flagged, not fatal:
+    the exchange proceeds and the transcript carries the (then typically
+    large) recovery error.  Every message crosses ``channel`` (by default an
     :class:`InMemoryChannel`) through its ``put`` and ``get``.
     """
     if a.n != b.n:
@@ -473,7 +475,7 @@ def run_exchange(
     if s.base != a.n:
         raise BaseMismatchError(f"signal base {s.base} does not match matrix base {a.n}")
     channel = channel if channel is not None else InMemoryChannel()
-    pairing = pairing_check_rows(a, b, tol=pairing_tol)
+    pairing = pairing_check_rows(a, b, tol=PAIRING_TOL)
 
     def relay(name: str, message):
         channel.put(name, message)

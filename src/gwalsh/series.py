@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import digit_length
+from .basis import cell_count, digit_length
 from .errors import (
     IncompatibleGridsError,
     ResolutionTooCoarseError,
@@ -90,10 +90,8 @@ def cell_average(s: Signal, q_target: int, base: int | None = None) -> Signal:
     cell algebra.  The target base defaults to the signal's own; a
     different base triggers exact refinement to the common grid.
     """
-    if q_target < 0:
-        raise ValidationError(f"q_target must be nonnegative, got {q_target}")
     base = s.base if base is None else base
-    target_len = base**q_target
+    target_len = cell_count(base, q_target, MAX_COMMON_CELLS)
     cells = _common_cells(len(s), target_len)
     refined = np.repeat(s.values, cells // len(s))
     averaged = refined.reshape(target_len, cells // target_len).mean(axis=1)
@@ -120,7 +118,7 @@ def partial_sum(a: WalshMatrix, s: Signal, k: int, q_eval: int) -> PartialSumRep
             f"q_eval={q_eval} below the signal resolution {s.q}"
         )
     averaged = cell_average(s, q_eval, base=a.n)
-    if k == a.n**q_eval:
+    if k == len(averaged):
         values = averaged.values
     else:
         coeffs = dwt_fast(a, averaged).coeffs.copy()
@@ -149,11 +147,12 @@ def martingale_check(a: WalshMatrix, s: Signal, q: int) -> MartingaleReport:
     deviation between S_{N^{q+1}}(f) averaged down to level q and
     S_{N^q}(f).
     """
-    s_q = partial_sum(a, s, a.n**q, _eval_resolution(a, s, q))
+    cells = cell_count(a.n, q)
+    s_q = partial_sum(a, s, cells, _eval_resolution(a, s, q))
     averaged = cell_average(s, q, base=a.n)
     exp_residual = _difference_norms(s_q.values, averaged.values)[0]
 
-    s_q1 = partial_sum(a, s, a.n ** (q + 1), _eval_resolution(a, s, q + 1))
+    s_q1 = partial_sum(a, s, a.n * cells, _eval_resolution(a, s, q + 1))
     down = cell_average(
         Signal(base=a.n, q=s_q1.q_eval, values=s_q1.values), q
     )
@@ -167,7 +166,7 @@ def norm_bound_check(a: WalshMatrix, s: Signal, q: int) -> NormBoundReport:
     f_linf = float(np.abs(s.values).max())
     if f_linf == 0.0:
         raise ZeroSignalError("norm ratios are undefined for the zero signal")
-    s_q = partial_sum(a, s, a.n**q, _eval_resolution(a, s, q))
+    s_q = partial_sum(a, s, cell_count(a.n, q), _eval_resolution(a, s, q))
     return NormBoundReport(
         l1_ratio=float(np.abs(s_q.values).mean()) / f_l1,
         linf_ratio=float(np.abs(s_q.values).max()) / f_linf,

@@ -33,19 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import digit_length, scaled_rows, walsh_on_grid
+from .basis import cell_count, digit_length, scaled_rows, walsh_on_grid
 from .errors import BaseMismatchError, ValidationError
 from .matrix import WalshMatrix, read_text
 
 
-def _is_cell_count(count: int, base: int, q: int) -> bool:
-    """count == base**q, deciding a q too large for count before forming the power."""
-    return (base < 2 or q <= count.bit_length()) and count == base**q  # N >= 2: N^q >= 2^q
-
-
 def _as_cells(values, base: int, q: int) -> np.ndarray:
     arr = np.asarray(values)
-    if arr.ndim != 1 or not _is_cell_count(arr.shape[0], base, q):
+    if arr.ndim != 1 or arr.shape[0] != cell_count(base, q):
         raise ValidationError(
             f"expected N^q cell values for base {base}, q {q}, got shape {arr.shape}"
         )
@@ -56,7 +51,7 @@ def _as_cells(values, base: int, q: int) -> np.ndarray:
 
 def _infer_q(base: int, length: int) -> int:
     q = digit_length(length - 1, base)
-    if base**q != length:
+    if cell_count(base, q) != length:
         raise ValidationError(f"length {length} is not a power of base {base}")
     return q
 
@@ -78,7 +73,7 @@ class Signal:
         return cls(base=base, q=_infer_q(base, arr.shape[0]), values=arr)
 
     def __len__(self) -> int:
-        return self.base**self.q
+        return len(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,13 +87,8 @@ class CoefficientVector:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_cells(self.coeffs, self.base, self.q))
 
-    @classmethod
-    def from_values(cls, base: int, coeffs) -> "CoefficientVector":
-        arr = np.asarray(coeffs)
-        return cls(base=base, q=_infer_q(base, arr.shape[0]), coeffs=arr)
-
     def __len__(self) -> int:
-        return self.base**self.q
+        return len(self.coeffs)
 
 
 class MultiplyCounter:
@@ -135,7 +125,7 @@ def _check_base(a: WalshMatrix, base: int) -> None:
 def dwt_naive(a: WalshMatrix, s: Signal) -> CoefficientVector:
     """Quadratic reference transform, summed directly from the definition."""
     _check_base(a, s.base)
-    width = s.base**s.q
+    width = len(s)
     out = None
     for n in range(width):
         row = np.conj(walsh_on_grid(a, n, s.q))
@@ -246,7 +236,7 @@ def _values_from_text(text: str, kind: str) -> tuple[int, int, np.ndarray]:
         arr = np.fromiter(map(float, body), dtype=float, count=len(body))
     except ValueError:  # complex pairs, or a bad line to report
         arr = np.asarray([_parse_value(line) for line in body])
-    if not _is_cell_count(arr.shape[0], base, q):
+    if arr.shape[0] != cell_count(base, q):
         raise ValidationError(
             f"header declares N^q = {base}^{q} values, file contains {arr.shape[0]}"
         )
@@ -291,10 +281,11 @@ def read_coefficients(path) -> CoefficientVector:
 
 def random_signal(base: int, q: int, seed: int, complex_values: bool = False) -> Signal:
     """Seeded random signal with cell values uniform in [0, 1)."""
+    width = cell_count(base, q)
     rng = np.random.default_rng(seed)
-    values = rng.random(base**q)
+    values = rng.random(width)
     if complex_values:
-        values = values + 1j * rng.random(base**q)
+        values = values + 1j * rng.random(width)
     return Signal(base=base, q=q, values=values)
 
 

@@ -1,3 +1,4 @@
+import time
 from functools import reduce
 
 import numpy as np
@@ -11,7 +12,7 @@ from gwalsh import (
     DigitOverflowError,
     OutOfDomainError,
     ValidationError,
-    digit_reversal_permutation,
+    cell_average,
     digits,
     dirichlet_kernel,
     generate_random,
@@ -19,12 +20,17 @@ from gwalsh import (
     grid_matrix,
     kernel_deviation,
     m_eval,
+    martingale_check,
+    norm_bound_check,
+    pairing_check_basis,
+    partial_sum,
+    random_signal,
     r_map,
     validate,
     walsh_eval,
     walsh_on_grid,
 )
-from gwalsh.basis import MAX_GRID, cell_of, digit_length, scaled_rows
+from gwalsh.basis import MAX_GRID, cell_count, cell_of, digit_length, scaled_rows
 
 
 def dense_gram_defect(a, q):
@@ -231,19 +237,6 @@ class TestGridMatrix:
         assert gram_defect(a, 2) <= 1e-10
 
 
-class TestDigitReversal:
-    def test_involution(self):
-        for base in (2, 3, 4):
-            for q in (1, 2, 3, 4):
-                perm = digit_reversal_permutation(base, q)
-                np.testing.assert_array_equal(perm[perm], np.arange(base**q))
-
-    def test_explicit_base3(self):
-        np.testing.assert_array_equal(
-            digit_reversal_permutation(3, 2), [0, 3, 6, 1, 4, 7, 2, 5, 8]
-        )
-
-
 class TestDirichletKernel:
     def test_same_cell_value(self, matrix_a):
         assert dirichlet_kernel(matrix_a, 1, 0.1, 0.2) == pytest.approx(3.0, abs=1e-12)
@@ -382,3 +375,46 @@ class TestResolutionBounds:
         with pytest.raises(ValidationError):
             grid_matrix(matrix_a, q)
         assert np.isfinite(kernel_deviation(matrix_a, q - 1, samples=10))
+
+    @settings(max_examples=300)
+    @given(st.integers(2, 16), st.integers(0, 200),
+           st.one_of(st.integers(0, 2**80), st.sampled_from([2**53, MAX_GRID, 5_000_000])))
+    def test_cell_count_is_the_bounded_power(self, base, q, limit):
+        if base**q <= limit:
+            assert cell_count(base, q, limit) == base**q
+        else:
+            with pytest.raises(ValidationError):
+                cell_count(base, q, limit)
+
+    def test_cell_count_decides_a_huge_q_without_the_power(self):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError):
+            cell_count(3, 10**18)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("base,q", [(1, 3), (0, 2), (3, -1)])
+    def test_cell_count_domain(self, base, q):
+        with pytest.raises(ValidationError):
+            cell_count(base, q)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a, s: cell_of(0.5, 3, 10**5),
+            lambda a, s: random_signal(3, 10**5, 0),
+            lambda a, s: cell_average(s, 10**5),
+            lambda a, s: partial_sum(a, s, 3, 10**5),
+            lambda a, s: martingale_check(a, s, 10**5),
+            lambda a, s: norm_bound_check(a, s, 10**5),
+            lambda a, s: pairing_check_basis(a, a, 10**7),
+            lambda a, s: walsh_on_grid(a, 0, 10**5),
+        ],
+        ids=["cell_of", "random_signal", "cell_average", "partial_sum", "martingale_check",
+             "norm_bound_check", "pairing_check_basis", "walsh_on_grid"],
+    )
+    def test_huge_q_rejected_at_once(self, matrix_a, signal_f, call):
+        # each used to form N^q first: a hang, a MemoryError or an int-to-str ValueError
+        start = time.perf_counter()
+        with pytest.raises(ValidationError):
+            call(matrix_a, signal_f)
+        assert time.perf_counter() - start < 1.0

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -166,14 +167,24 @@ class TestCheckBoundaries:
             ["verify", "--q", "8"],  # 3^8 cells exceed MAX_GRID = 2048
             ["verify", "--q", "2", "--tol", "inf"],  # every check would pass
             ["kernel-check", "--q", "2", "--tol", "inf"],
+            # N^q is never formed for a q this large
+            ["kernel-check", "--q", "10000000"],
+            ["verify", "--q", "10000000"],
+            ["series", "--signal-inline", "012", "--k-list", "3", "--q", "9100"],
+            ["series", "--signal-inline", "012", "--k-list", "3", "--q", "5000"],
         ],
         ids=["verify-q0", "kernel-check-q0", "samples0", "cells-over-2^53", "verify-over-grid",
-             "verify-tol-inf", "kernel-check-tol-inf"],
+             "verify-tol-inf", "kernel-check-tol-inf", "kernel-check-huge-q", "verify-huge-q",
+             "series-q-past-int-str-limit", "series-q-long-message"],
     )
-    def test_rejected_with_exit_two(self, tmp_path, matrix_a_file, argv):
+    def test_rejected_with_exit_two(self, tmp_path, matrix_a_file, capsys, argv):
         out = tmp_path / "report.json"
+        start = time.perf_counter()
         assert main(argv + ["--matrix", matrix_a_file, "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200  # one short line, no traceback
 
     def test_verify_limits_q_itself(self, tmp_path, matrix_a_file, monkeypatch):
         # a gram_defect without the MAX_GRID cap must not let verify allocate 3^13 cells
@@ -358,6 +369,29 @@ class TestExchange:
 class TestArgumentHandling:
     def test_unknown_flag_rejected(self):
         assert main(["encode", "--bogus", "x"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encode", "--matrix", "{A}", "--signal", "{f}", "--signal-inline", "012"],
+            ["gen-matrix", "--entry", "0.4", "--n", "5"],
+            ["exchange", "--matrix", "{A}", "--matrix-b", "{B}", "--r", "0.5", "--mask-seed", "3",
+             "--signal", "{f}"],
+            ["solve-b", "--matrix", "{A}", "--r", "0.2", "--numeric"],
+            ["solve-b", "--matrix", "{A}", "--r", "0.2", "--mask-seed", "5",
+             "--masked-out", "{m}"],
+        ],
+        ids=["signal-and-inline", "entry-and-n", "matrix-b-r-mask-seed", "r-and-numeric",
+             "r-and-mask-seed"],
+    )
+    def test_input_named_twice_rejected(self, tmp_path, matrix_a_file, matrix_b_file,
+                                        signal_file, argv):
+        masked = tmp_path / "m.json"
+        paths = {"A": matrix_a_file, "B": matrix_b_file, "f": signal_file, "m": str(masked)}
+        out = tmp_path / "out"
+        assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert not masked.exists()
 
     def test_unknown_subcommand_rejected(self):
         assert main(["frobnicate"]) == 2
