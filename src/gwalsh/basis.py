@@ -42,7 +42,9 @@ class CellIndex:
 
 
 def digit_length(n: int, base: int) -> int:
-    """Number of base-N digits of n (0 for n = 0)."""
+    """Number of base-N digits of n (0 for n = 0), for N >= 2."""
+    if base < 2:  # base 1 would never end the loop
+        raise ValidationError(f"base must be at least 2, got {base}")
     length = 0
     while n > 0:
         n //= base
@@ -54,8 +56,6 @@ def digits(n: int, base: int, pad_to: int | None = None) -> tuple[int, ...]:
     """Base-N digits of n, least significant first, zero-padded to ``pad_to``."""
     if n < 0:
         raise ValidationError(f"n must be nonnegative, got {n}")
-    if base < 2:
-        raise ValidationError(f"base must be at least 2, got {base}")
     width = digit_length(n, base) if pad_to is None else pad_to
     if pad_to is not None and digit_length(n, base) > pad_to:  # n >= N^pad_to, never formed
         raise DigitOverflowError(f"{n} does not fit in {pad_to} base-{base} digits")

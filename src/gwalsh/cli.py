@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="certify against the masked system with this seed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--masked-out", dest="masked_out",
-                   help="also write the masked system JSON here")
+                   help="also write the masked system JSON here (needs --mask-seed)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve_b)
 
@@ -177,6 +177,8 @@ def cmd_gen_matrix(args) -> int:
 def cmd_solve_b(args) -> int:
     if args.r is not None and (args.numeric or args.mask_seed is not None):
         raise ValidationError("--r (closed form) excludes --numeric and --mask-seed")
+    if args.masked_out and args.mask_seed is None:
+        raise ValidationError("--masked-out needs --mask-seed")
     a = load_matrix(args.matrix, tol=args.tol)
     if args.r is None:
         masked = None

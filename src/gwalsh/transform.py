@@ -11,12 +11,15 @@ Two implementations are provided: a naive quadratic reference summing
 the definition row by row, and a radix-N butterfly (``dwt_fast``) doing
 q stages of N x N kernel applications, q * N^(q+1) scalar multiplies in
 all.  Each stage is one product that contracts the leading digit and
-writes it last (the self-sorting form), so the stages never copy data
-into a new order.  The coefficient index uses least-significant-first
-digits while the cell index uses most-significant-first digits; in the
-(N,)*q array view this digit reversal is axis reversal, one strided
-transpose (after the forward stages, before the inverse ones) and the
-only reorder.
+writes it last (the self-sorting form).  The coefficient index uses
+least-significant-first digits while the cell index uses
+most-significant-first digits, so the transform also reverses the digit
+order.  Both are done in cache-blocked passes: a pass contracts a group
+of leading digits over one cache-sized column block at a time, reverses
+the block's new digits while it is in cache, and writes the block out
+behind the digits still to come (the last forward pass writes it in
+front), so the digit groups land in reversed order without a separate
+reorder pass.  Below 2^15 cells the whole transform is one block.
 
 The inverse transform synthesizes v_j = sum_n c_n * W_n(cell j) with the
 transposed stage structure.  For a unitary matrix this is the exact
@@ -136,21 +139,84 @@ def dwt_naive(a: WalshMatrix, s: Signal) -> CoefficientVector:
     return CoefficientVector(base=s.base, q=s.q, coeffs=out)
 
 
-def _stages(kernel: np.ndarray, data: np.ndarray, base: int, q: int) -> np.ndarray:
-    """Apply the N x N kernel along each of the q digit axes in turn."""
-    out = data
-    for _ in range(q):
-        out = (out.reshape(base, -1).T @ kernel.T).ravel()
-        _tally(base ** (q + 1))
-    return out
+# A pass contracts the m leading digits, N^m <= _LEAD, one column block of
+# about _BLOCK values at a time: the m stages and the reversal of the m new
+# digits run while the block is in cache.
+_LEAD = 4096
+_BLOCK = 2**15
+
+
+def _digit_groups(base: int, q: int) -> list[int]:
+    """Digits contracted by each pass, in order; one pass when N^q fits in a block."""
+    if base**q <= _BLOCK:
+        return [q]
+    m = max(1, digit_length(_LEAD, base) - 1)  # the largest m with N^m <= _LEAD
+    return [m] * (q // m) + ([q % m] if q % m else [])
+
+
+def _permute_groups(data: np.ndarray, base: int, groups: list[int], order) -> np.ndarray:
+    """Reorder the digit groups (sizes leading first) as ``order``, one strided copy."""
+    if len(groups) < 3:  # both reorders leave one or two groups in place; skip the calls
+        return data
+    return data.reshape([base**g for g in groups]).transpose(order).ravel()
+
+
+def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
+               inverse: bool) -> np.ndarray:
+    """Apply the N x N kernel along each of the q digit axes and reverse the digit order.
+
+    Forward runs the stages, then reverses; inverse reverses, then runs the
+    stages.  Every value goes through the same products, in the same order,
+    as in q full-array stages ``x = x.reshape(N, -1).T @ kernel.T``.
+
+    The stages run as passes over the digit groups G_1, ..., G_p of
+    ``_digit_groups``.  A pass reads column blocks of the (N^m, rest) view,
+    runs its m stages on each block, reverses the block's m new digits and
+    writes it as rows of a (rest, N^m) array.  The last forward pass writes
+    columns of an (N^m, rest) array instead, so only G_1, ..., G_{p-1} are
+    left to reorder, a no-op for p <= 2.  The inverse mirrors this: it
+    reverses a block's digits before the products, and its first pass reads
+    its group from the trailing digits.
+    """
+    if q == 0:
+        return data
+    groups = _digit_groups(base, q)
+    p = len(groups)
+    if inverse:  # (G_p, ..., G_2, G_1) -> (G_2, ..., G_p, G_1)
+        data = _permute_groups(data, base, groups[::-1], [*range(p - 2, -1, -1), p - 1])
+    for i, m in enumerate(groups):
+        lead = base**m
+        rest = data.size // lead
+        src = data.reshape(rest, lead).T if inverse and i == 0 else data.reshape(lead, rest)
+        # a one-digit pass is one full-array product, as unblocked: blocking
+        # gains nothing there, and a one-row block would take BLAS's vector path
+        cols = max(1, _BLOCK // lead) if m > 1 else rest
+        out = None
+        for j in range(0, rest, cols):
+            blk = src[:, j:j + cols].reshape((base,) * m + (-1,))
+            if inverse:
+                blk = blk.transpose(*range(m - 1, -1, -1), m)
+            for _ in range(m):
+                blk = blk.reshape(base, -1).T @ kernel.T
+            if out is None:  # allocated before the products, exchanges ran ~15% slower
+                out = np.empty(data.size, dtype=blk.dtype)
+                last = not inverse and i == p - 1
+                dst = out.reshape(lead, rest).T if last else out.reshape(rest, lead)
+                dst = dst.reshape((rest,) + (base,) * m)
+            blk = blk.reshape((-1,) + (base,) * m)
+            dst[j:j + cols] = blk if inverse else blk.transpose(0, *range(m, 0, -1))
+        data = out
+        _tally(m * base ** (q + 1))
+    if not inverse:  # (G_p, G_1, ..., G_{p-1}) -> (G_p, G_{p-1}, ..., G_1)
+        data = _permute_groups(data, base, groups[-1:] + groups[:-1], [0, *range(p - 1, 0, -1)])
+    return data
 
 
 def dwt_fast(a: WalshMatrix, s: Signal) -> CoefficientVector:
     """Radix-N butterfly transform; same contract as :func:`dwt_naive`."""
     _check_base(a, s.base)
     kernel = np.conj(scaled_rows(a)) / a.n  # row 0 is exactly 1/N
-    staged = _stages(kernel, s.values, s.base, s.q)
-    coeffs = staged.reshape((s.base,) * s.q).T.ravel()
+    coeffs = _butterfly(kernel, s.values, s.base, s.q, inverse=False)
     return CoefficientVector(base=s.base, q=s.q, coeffs=coeffs)
 
 
@@ -158,8 +224,7 @@ def idwt(a: WalshMatrix, c: CoefficientVector) -> Signal:
     """Synthesize the signal with cell values sum_n c_n * W_n(cell j)."""
     _check_base(a, c.base)
     kernel = scaled_rows(a).T  # column 0 is exactly 1
-    reordered = c.coeffs.reshape((c.base,) * c.q).T.ravel()
-    values = _stages(kernel, reordered, c.base, c.q)
+    values = _butterfly(kernel, c.coeffs, c.base, c.q, inverse=True)
     return Signal(base=c.base, q=c.q, values=values)
 
 

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import time
 from functools import reduce
 
@@ -100,6 +102,20 @@ class TestDigits:
         assert digit_length(1, 3) == 1
         assert digit_length(26, 3) == 3
         assert digit_length(27, 3) == 4
+
+    @pytest.mark.parametrize(
+        "call",
+        ["digit_length(5, 1)", "digit_length(5, 0)", "digits(5, 1, 3)",
+         "signal_from_digits('01', base=1)", "Signal.from_values(1, [0.0, 0.0])"],
+    )
+    def test_base_below_two_rejected(self, call):
+        # base 1 never ends the digit loop: run in a child process so a hang fails the test
+        code = ("from gwalsh import Signal, ValidationError, digits, signal_from_digits\n"
+                "from gwalsh.basis import digit_length\n"
+                f"try:\n    {call}\nexcept ValidationError:\n    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=20)
+        assert result.returncode == 0, result.stderr
 
 
 class TestRMap:

@@ -380,9 +380,11 @@ class TestArgumentHandling:
             ["solve-b", "--matrix", "{A}", "--r", "0.2", "--numeric"],
             ["solve-b", "--matrix", "{A}", "--r", "0.2", "--mask-seed", "5",
              "--masked-out", "{m}"],
+            # --masked-out has no masked system to write without --mask-seed
+            ["solve-b", "--matrix", "{A}", "--numeric", "--masked-out", "{m}"],
         ],
         ids=["signal-and-inline", "entry-and-n", "matrix-b-r-mask-seed", "r-and-numeric",
-             "r-and-mask-seed"],
+             "r-and-mask-seed", "masked-out-without-mask-seed"],
     )
     def test_input_named_twice_rejected(self, tmp_path, matrix_a_file, matrix_b_file,
                                         signal_file, argv):

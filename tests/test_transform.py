@@ -23,6 +23,7 @@ from gwalsh import (
     random_signal,
     signal_from_digits,
 )
+from gwalsh import transform
 from gwalsh.basis import scaled_rows
 from gwalsh.transform import (
     _values_from_text,
@@ -240,6 +241,39 @@ class TestMultiplyCount:
         assert counts == [calls * 6 * 3**7] * workers
         assert spectator.count == 0
 
+    def test_threads_match_serial_at_multi_block_size(self):
+        # 2^16 cells take two passes of several column blocks each; every
+        # buffer is per call, so threads sharing the inputs need no locking
+        a = generate_random(2, seed=1)
+        s = random_signal(2, 16, seed=2)
+        serial_c = dwt_fast(a, s).coeffs
+        serial_v = idwt(a, CoefficientVector(base=2, q=16, coeffs=serial_c)).values
+        workers, calls = 4, 10
+        mismatches = [None] * workers
+        start = threading.Barrier(workers)
+
+        def work(i):
+            start.wait(timeout=30)
+            bad = 0
+            for _ in range(calls):
+                c = dwt_fast(a, s)
+                bad += not np.array_equal(c.coeffs, serial_c)
+                bad += not np.array_equal(idwt(a, c).values, serial_v)
+            mismatches[i] = bad
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == [0] * workers
+
 
 def _oracle_stages(kernel, data, base, q):
     """The two-pass stage: the product, then a transposing copy into rotated order."""
@@ -288,6 +322,99 @@ class TestStageOracle:
         for got, want in ((c.coeffs, _oracle_dwt_fast(a, s)), (back.values, _oracle_idwt(a, c))):
             assert got.dtype == want.dtype
             assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+def _oracle_stages_single_pass(kernel, data, base, q):
+    """The unblocked stages: q full-array products, each writing rotated order."""
+    out = data
+    for _ in range(q):
+        out = (out.reshape(base, -1).T @ kernel.T).ravel()
+    return out
+
+
+def _single_pass_dwt_fast(a, s):
+    kernel = np.conj(scaled_rows(a)) / a.n
+    staged = _oracle_stages_single_pass(kernel, s.values, s.base, s.q)
+    return staged.reshape((s.base,) * s.q).T.ravel()
+
+
+def _single_pass_idwt(a, c):
+    reordered = c.coeffs.reshape((c.base,) * c.q).T.ravel()
+    return _oracle_stages_single_pass(scaled_rows(a).T, reordered, c.base, c.q)
+
+
+# larger than one block of 2^15 values and split into unequal passes
+_MULTI_BLOCK = [(2, 16), (2, 17), (3, 10), (5, 7), (7, 6), (16, 4), (16, 5)]
+
+
+class TestBlockedPasses:
+    """The cache-blocked passes against q full-array stages and one final axis reversal."""
+
+    @pytest.mark.parametrize("base,q", _MULTI_BLOCK)
+    def test_real_is_bit_identical(self, base, q):
+        a = generate_random(base, seed=base + q)
+        s = random_signal(base, q, seed=q)
+        c = dwt_fast(a, s)
+        back = idwt(a, c)
+        for got, want in ((c.coeffs, _single_pass_dwt_fast(a, s)),
+                          (back.values, _single_pass_idwt(a, c))):
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("base,q", _MULTI_BLOCK)
+    @pytest.mark.parametrize("complex_matrix,complex_signal",
+                             [(True, False), (True, True), (False, True)],
+                             ids=["complex-matrix", "both-complex", "complex-signal"])
+    def test_complex_within_rounding(self, base, q, complex_matrix, complex_signal):
+        a = generate_random(base, seed=base + q, complex_entries=complex_matrix)
+        s = random_signal(base, q, seed=q, complex_values=complex_signal)
+        c = dwt_fast(a, s)
+        back = idwt(a, c)
+        bound = 4 * q * np.finfo(float).eps
+        for got, want in ((c.coeffs, _single_pass_dwt_fast(a, s)),
+                          (back.values, _single_pass_idwt(a, c))):
+            assert got.dtype == want.dtype == np.complex128
+            assert np.array_equal(got, want) or (
+                np.abs(got - want).max() <= bound * np.abs(want).max())
+
+    @pytest.mark.parametrize("base,q", _MULTI_BLOCK)
+    def test_multiply_count_exact(self, base, q):
+        a = generate_random(base, seed=1)
+        s = random_signal(base, q, seed=2)
+        with count_multiplies() as forward:
+            c = dwt_fast(a, s)
+        with count_multiplies() as inverse:
+            idwt(a, c)
+        assert forward.count == inverse.count == q * base ** (q + 1)
+
+    @pytest.mark.parametrize("complex_matrix", [False, True])
+    def test_q0_keeps_signal_dtype(self, complex_matrix):
+        a = generate_random(3, seed=1, complex_entries=complex_matrix)
+        s = Signal(base=3, q=0, values=np.array([2.5]))
+        c = dwt_fast(a, s)
+        back = idwt(a, c)
+        assert c.coeffs.dtype == back.values.dtype == np.float64
+        assert c.coeffs.tolist() == back.values.tolist() == [2.5]
+
+    @pytest.mark.parametrize("lead,block", [(4, 16), (9, 27), (16, 64), (2, 1)])
+    @pytest.mark.parametrize("base,q", [(2, 9), (3, 5), (4, 4), (5, 3)])
+    def test_many_passes(self, monkeypatch, lead, block, base, q):
+        # small block constants give three or more passes on small inputs; the
+        # group reorders around the passes only act there
+        monkeypatch.setattr(transform, "_LEAD", lead)
+        monkeypatch.setattr(transform, "_BLOCK", block)
+        for complex_values in (False, True):
+            a = generate_random(base, seed=3, complex_entries=complex_values)
+            s = random_signal(base, q, seed=4, complex_values=complex_values)
+            with count_multiplies() as counter:
+                c = dwt_fast(a, s)
+                back = idwt(a, c)
+            assert counter.count == 2 * q * base ** (q + 1)
+            bound = 4 * q * np.finfo(float).eps
+            for got, want in ((c.coeffs, _single_pass_dwt_fast(a, s)),
+                              (back.values, _single_pass_idwt(a, c))):
+                assert np.array_equal(got, want) or (
+                    complex_values and np.abs(got - want).max() <= bound * np.abs(want).max())
 
 
 class TestSerialization:
