@@ -12,6 +12,7 @@ seeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -58,6 +59,7 @@ def _add_signal_args(p):
                         help="signal as a digit string, one character per cell")
 
 
+@functools.cache  # one parser per process; main looks up cmd_* on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gwalsh", description=__doc__.splitlines()[0])
     parser.add_argument("--tol", type=float, default=1e-8,
@@ -67,40 +69,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-matrix", help="generate a Walsh-generating matrix")
     spec = p.add_mutually_exclusive_group()
     spec.add_argument("--n", type=int, help="base N (random generation)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--complex", action="store_true", help="complex entries (random generation)")
+    # None tells a flag left out from one given, which the chosen path must read
+    p.add_argument("--seed", type=int)
+    p.add_argument("--complex", action="store_true", default=None,
+                   help="complex entries (random generation)")
     spec.add_argument("--entry", type=float, help="prescribed leading entry (3x3 closed form)")
-    p.add_argument("--row", type=int, choices=(2, 3), default=2,
-                   help="1-based row receiving --entry")
-    p.add_argument("--branch", choices=("plus", "minus"), default="plus")
+    p.add_argument("--row", type=int, choices=(2, 3), help="1-based row receiving --entry")
+    p.add_argument("--branch", choices=("plus", "minus"))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_matrix)
 
     p = sub.add_parser("solve-b", help="solve for a companion matrix")
     _add_matrix_arg(p)
     p.add_argument("--r", type=float, help="free parameter (closed form, N=3)")
-    p.add_argument("--branch", choices=("plus", "minus"), default="plus")
+    p.add_argument("--branch", choices=("plus", "minus"))
     p.add_argument("--numeric", action="store_true",
                    help="build a seeded reflection companion (any N)")
     p.add_argument("--mask-seed", dest="mask_seed", type=int,
                    help="certify against the masked system with this seed")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--masked-out", dest="masked_out",
                    help="also write the masked system JSON here (needs --mask-seed)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_solve_b)
 
     p = sub.add_parser("encode", help="forward Walsh transform of a signal")
     _add_matrix_arg(p)
     _add_signal_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="inverse Walsh transform of coefficients")
     _add_matrix_arg(p)
     p.add_argument("--in", dest="in_path", required=True, help="coefficient CSV file")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("series", help="partial-sum convergence sweep")
     _add_matrix_arg(p)
@@ -109,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated truncation indices")
     p.add_argument("--q", type=int, help="evaluation resolution (default: minimal)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("kernel-check", help="max |D(x,t)/N^q - [same cell]| over samples")
     _add_matrix_arg(p)
@@ -117,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000, help="(x, t) pairs, plus each (x, x)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_kernel_check)
 
     p = sub.add_parser("verify", help="aggregate consistency report for a matrix (pair)")
     _add_matrix_arg(p)
@@ -126,24 +123,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("exchange", help="run the four-step exchange")
     _add_matrix_arg(p)
     partner = p.add_mutually_exclusive_group()
     partner.add_argument("--matrix-b", dest="matrix_b", help="companion matrix JSON file")
     partner.add_argument("--r", type=float, help="derive the companion in closed form")
-    p.add_argument("--branch", choices=("plus", "minus"), default="plus")
+    p.add_argument("--branch", choices=("plus", "minus"))
     partner.add_argument("--mask-seed", dest="mask_seed", type=int,
                          help="derive the companion numerically, certified against the "
                               "masked system with this seed")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     _add_signal_args(p)
     p.add_argument("--msg-dir", dest="msg_dir", help="stage messages as files here")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_exchange)
 
     return parser
+
+
+def _reject_unread(args, path: str, *flags: str) -> None:
+    """Reject flags given explicitly that the chosen path never reads."""
+    given = ["--" + flag.replace("_", "-") for flag in flags if getattr(args, flag) is not None]
+    if given:
+        raise ValidationError(f"not read with {path}: {', '.join(given)}")
 
 
 def _load_signal(args, base: int):
@@ -164,10 +166,12 @@ def _write_json(payload: dict, out: str | None) -> None:
 
 def cmd_gen_matrix(args) -> int:
     if args.entry is not None:
-        row_choice = "second" if args.row == 2 else "third"
-        m = generate_n3(args.entry, row_choice=row_choice, branch=args.branch)
+        _reject_unread(args, "--entry", "seed", "complex")
+        row_choice = "third" if args.row == 3 else "second"
+        m = generate_n3(args.entry, row_choice=row_choice, branch=args.branch or "plus")
     elif args.n is not None:
-        m = generate_random(args.n, seed=args.seed, complex_entries=args.complex)
+        _reject_unread(args, "--n", "row", "branch")
+        m = generate_random(args.n, seed=args.seed or 0, complex_entries=bool(args.complex))
     else:
         raise ValidationError("provide --entry (closed form) or --n (random)")
     save_matrix(m, args.out)
@@ -181,14 +185,16 @@ def cmd_solve_b(args) -> int:
         raise ValidationError("--masked-out needs --mask-seed")
     a = load_matrix(args.matrix, tol=args.tol)
     if args.r is None:
+        _reject_unread(args, "the numeric companion (no --r)", "branch")
         masked = None
         if args.mask_seed is not None:
             masked = mask_constraints(a, args.mask_seed)
             if args.masked_out:
                 protocol.save_masked_system(masked, args.masked_out)
-        b = solve_companion_numeric(a, masked, seed=args.seed, tol=min(args.tol, 1e-10))
+        b = solve_companion_numeric(a, masked, seed=args.seed or 0, tol=min(args.tol, 1e-10))
     else:
-        b = solve_companion(a, args.r, branch=args.branch)
+        _reject_unread(args, "--r", "seed")
+        b = solve_companion(a, args.r, branch=args.branch or "plus")
     save_matrix(b, args.out)
     return 0
 
@@ -285,12 +291,15 @@ def cmd_verify(args) -> int:
 def cmd_exchange(args) -> int:
     a = load_matrix(args.matrix, tol=args.tol)
     if args.matrix_b:
+        _reject_unread(args, "--matrix-b", "branch", "seed")
         b = load_matrix(args.matrix_b, tol=args.tol)
     elif args.r is not None:
-        b = solve_companion(a, args.r, branch=args.branch)
+        _reject_unread(args, "--r", "seed")
+        b = solve_companion(a, args.r, branch=args.branch or "plus")
     elif args.mask_seed is not None:
+        _reject_unread(args, "--mask-seed", "branch")
         masked = mask_constraints(a, args.mask_seed)
-        b = solve_companion_numeric(a, masked, seed=args.seed, tol=min(args.tol, 1e-10))
+        b = solve_companion_numeric(a, masked, seed=args.seed or 0, tol=min(args.tol, 1e-10))
     else:
         raise ValidationError("provide --matrix-b, --r, or --mask-seed")
     s = _load_signal(args, a.n)
@@ -304,13 +313,13 @@ def cmd_exchange(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
+    command = globals()["cmd_" + args.subcommand.replace("-", "_")]
     try:
-        return int(args.func(args) or 0)
+        return int(command(args) or 0)
     except NumericError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

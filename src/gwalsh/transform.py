@@ -14,12 +14,12 @@ all.  Each stage is one product that contracts the leading digit and
 writes it last (the self-sorting form).  The coefficient index uses
 least-significant-first digits while the cell index uses
 most-significant-first digits, so the transform also reverses the digit
-order.  Both are done in cache-blocked passes: a pass contracts a group
-of leading digits over one cache-sized column block at a time, reverses
-the block's new digits while it is in cache, and writes the block out
-behind the digits still to come (the last forward pass writes it in
-front), so the digit groups land in reversed order without a separate
-reorder pass.  Below 2^15 cells the whole transform is one block.
+order.  Both are done in one or two cache-blocked passes: a pass
+contracts leading digits over one cache-sized column block at a time,
+reverses the block's new digits while it is in cache, and writes the
+block out behind the digits still to come (the last forward pass writes
+it in front), so no pass ever reorders digit groups.  Below 2^15 cells
+the whole transform is one block.
 
 The inverse transform synthesizes v_j = sum_n c_n * W_n(cell j) with the
 transposed stage structure.  For a unitary matrix this is the exact
@@ -139,26 +139,19 @@ def dwt_naive(a: WalshMatrix, s: Signal) -> CoefficientVector:
     return CoefficientVector(base=s.base, q=s.q, coeffs=out)
 
 
-# A pass contracts the m leading digits, N^m <= _LEAD, one column block of
-# about _BLOCK values at a time: the m stages and the reversal of the m new
-# digits run while the block is in cache.
+# Pass 1 contracts the m leading digits, N^m <= _LEAD, and pass 2 the other
+# q - m, one column block of about _BLOCK values at a time: a pass's stages
+# and the reversal of its new digits run while the block is in cache.
 _LEAD = 4096
 _BLOCK = 2**15
 
 
 def _digit_groups(base: int, q: int) -> list[int]:
-    """Digits contracted by each pass, in order; one pass when N^q fits in a block."""
+    """Digits contracted by each pass, in order: [q] when N^q fits in a block, else [m, q - m]."""
     if base**q <= _BLOCK:
         return [q]
     m = max(1, digit_length(_LEAD, base) - 1)  # the largest m with N^m <= _LEAD
-    return [m] * (q // m) + ([q % m] if q % m else [])
-
-
-def _permute_groups(data: np.ndarray, base: int, groups: list[int], order) -> np.ndarray:
-    """Reorder the digit groups (sizes leading first) as ``order``, one strided copy."""
-    if len(groups) < 3:  # both reorders leave one or two groups in place; skip the calls
-        return data
-    return data.reshape([base**g for g in groups]).transpose(order).ravel()
+    return [m, q - m]
 
 
 def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
@@ -169,21 +162,16 @@ def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
     stages.  Every value goes through the same products, in the same order,
     as in q full-array stages ``x = x.reshape(N, -1).T @ kernel.T``.
 
-    The stages run as passes over the digit groups G_1, ..., G_p of
+    The stages run as one or two passes, over the digit groups of
     ``_digit_groups``.  A pass reads column blocks of the (N^m, rest) view,
     runs its m stages on each block, reverses the block's m new digits and
     writes it as rows of a (rest, N^m) array.  The last forward pass writes
-    columns of an (N^m, rest) array instead, so only G_1, ..., G_{p-1} are
-    left to reorder, a no-op for p <= 2.  The inverse mirrors this: it
+    columns of an (N^m, rest) array instead, which puts the two groups in
+    reversed order, so no pass reorders them.  The inverse mirrors this: it
     reverses a block's digits before the products, and its first pass reads
     its group from the trailing digits.
     """
-    if q == 0:
-        return data
     groups = _digit_groups(base, q)
-    p = len(groups)
-    if inverse:  # (G_p, ..., G_2, G_1) -> (G_2, ..., G_p, G_1)
-        data = _permute_groups(data, base, groups[::-1], [*range(p - 2, -1, -1), p - 1])
     for i, m in enumerate(groups):
         lead = base**m
         rest = data.size // lead
@@ -200,15 +188,13 @@ def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
                 blk = blk.reshape(base, -1).T @ kernel.T
             if out is None:  # allocated before the products, exchanges ran ~15% slower
                 out = np.empty(data.size, dtype=blk.dtype)
-                last = not inverse and i == p - 1
+                last = not inverse and i == len(groups) - 1
                 dst = out.reshape(lead, rest).T if last else out.reshape(rest, lead)
                 dst = dst.reshape((rest,) + (base,) * m)
             blk = blk.reshape((-1,) + (base,) * m)
             dst[j:j + cols] = blk if inverse else blk.transpose(0, *range(m, 0, -1))
         data = out
         _tally(m * base ** (q + 1))
-    if not inverse:  # (G_p, G_1, ..., G_{p-1}) -> (G_p, G_{p-1}, ..., G_1)
-        data = _permute_groups(data, base, groups[-1:] + groups[:-1], [0, *range(p - 1, 0, -1)])
     return data
 
 

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 import reference_values as rv
-from gwalsh import basis, cli, load_matrix, load_transcript, save_matrix
+from gwalsh import (
+    ValidationError,
+    basis,
+    cli,
+    load_masked_system,
+    load_matrix,
+    load_transcript,
+    save_matrix,
+)
 from gwalsh.cli import main
 from gwalsh.transform import read_coefficients, read_signal
 
@@ -87,6 +95,18 @@ class TestSolveB:
         from gwalsh import pairing_check_rows
 
         assert pairing_check_rows(matrix_a, load_matrix(out), tol=1e-8).holds
+
+
+    def test_two_by_two_masked_system_is_empty(self, tmp_path):
+        # N = 2 has no pair 1 <= l < k <= N-1, so no equation; the format
+        # carries no n, and a list naming no unknown cannot be read back
+        a, masked, out = (tmp_path / name for name in ("A.json", "m.json", "B.json"))
+        assert main(["gen-matrix", "--n", "2", "--seed", "1", "--out", str(a)]) == 0
+        assert main(["solve-b", "--matrix", str(a), "--numeric", "--mask-seed", "5",
+                     "--masked-out", str(masked), "--out", str(out)]) == 0
+        assert masked.read_text() == "[]\n"
+        with pytest.raises(ValidationError, match="names no unknowns"):
+            load_masked_system(masked)
 
 
 class TestEncodeDecode:
@@ -366,6 +386,48 @@ class TestExchange:
         assert rc == 2
 
 
+# an explicitly given flag that the chosen path never reads
+_UNREAD = [
+    ["gen-matrix", "--entry", "0.4", "--complex"],
+    ["gen-matrix", "--entry", "0.4", "--seed", "3"],
+    ["gen-matrix", "--n", "3", "--row", "3", "--branch", "minus"],
+    ["solve-b", "--matrix", "{A}", "--numeric", "--branch", "minus"],
+    ["solve-b", "--matrix", "{A}", "--r", "0.2", "--seed", "4"],
+    ["exchange", "--matrix", "{A}", "--matrix-b", "{B}", "--branch", "minus", "--seed", "4",
+     "--signal", "{f}"],
+    ["exchange", "--matrix", "{A}", "--r", "0.2", "--seed", "4", "--signal", "{f}"],
+    ["exchange", "--matrix", "{A}", "--mask-seed", "5", "--branch", "minus", "--signal", "{f}"],
+]
+_UNREAD_IDS = ["entry-complex", "entry-seed", "n-row-branch", "numeric-branch", "r-seed",
+               "matrix-b-branch-seed", "exchange-r-seed", "mask-seed-branch"]
+
+# one process's calls: every exit code, --tol before and after the subcommand
+# (and then left out again), the unread-flag rejections, and --help
+_SESSION = [
+    ["gen-matrix", "--entry", "0.4", "--row", "2", "--branch", "plus", "--out", "{A}"],
+    ["--tol", "1e-6", "solve-b", "--matrix", "{A}", "--r", "0.2", "--out", "{B}"],
+    ["solve-b", "--matrix", "{A}", "--numeric", "--mask-seed", "5",
+     "--masked-out", "{d}/masked.json", "--out", "{d}/Bn.json"],
+    ["encode", "--matrix", "{A}", "--signal-inline", rv.SIGNAL_DIGITS, "--tol", "1e-6",
+     "--out", "{d}/c.csv"],
+    ["decode", "--matrix", "{A}", "--in", "{d}/c.csv", "--out", "{f}"],
+    ["gen-matrix", "--entry", "1.0", "--out", "{d}/bad.json"],
+    ["solve-b", "--matrix", "{A}", "--r", "0.9", "--out", "{d}/bad.json"],
+    ["verify", "--matrix", "{A}", "--matrix-b", "{B}", "--q", "2", "--tol", "1e-20"],
+    ["kernel-check", "--matrix", "{A}", "--q", "2", "--samples", "50"],
+    ["--tol", "inf", "verify", "--matrix", "{A}", "--q", "2"],
+    ["encode", "--bogus", "x"],
+    *[argv + ["--out", "{d}/rejected.json"] for argv in _UNREAD],
+    ["exchange", "--matrix", "{A}", "--matrix-b", "{B}", "--signal", "{f}",
+     "--msg-dir", "{d}/msgs", "--out", "{d}/t.json"],
+    ["series", "--matrix", "{A}", "--signal", "{f}", "--k-list", "27,60,300",
+     "--out", "{d}/sweep.csv"],
+    ["--help"],
+    ["exchange", "--help"],
+    [],
+]
+
+
 class TestArgumentHandling:
     def test_unknown_flag_rejected(self):
         assert main(["encode", "--bogus", "x"]) == 2
@@ -394,6 +456,49 @@ class TestArgumentHandling:
         assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 2
         assert not out.exists()
         assert not masked.exists()
+
+    @pytest.mark.parametrize("argv", _UNREAD, ids=_UNREAD_IDS)
+    def test_unread_flag_rejected(self, tmp_path, matrix_a_file, matrix_b_file, signal_file,
+                                  capsys, argv):
+        paths = {"A": matrix_a_file, "B": matrix_b_file, "f": signal_file}
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("ValidationError: not read with ") and err.count("\n") == 1
+
+    def test_cached_parser_matches_fresh(self, tmp_path, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+
+        def session(d):
+            paths = {"A": f"{d}/A.json", "B": f"{d}/B.json", "f": f"{d}/f.csv", "d": d}
+            runs = []
+            for argv in _SESSION:
+                rc = main([arg.format(**paths) for arg in argv])
+                out, err = capsys.readouterr()
+                runs.append((rc, out.replace(str(d), "D"), err.replace(str(d), "D")))
+            files = {str(f.relative_to(d)): f.read_bytes() for f in d.rglob("*") if f.is_file()}
+            return runs, files
+
+        (tmp_path / "cached").mkdir()
+        (tmp_path / "fresh").mkdir()
+        cached = session(tmp_path / "cached")
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = session(tmp_path / "fresh")
+        assert cached == fresh
+        codes = [rc for rc, _, _ in cached[0]]
+        assert {0, 1, 2} <= set(codes)
+        assert codes[:5] == [0, 0, 0, 0, 0] and codes[-3:] == [0, 0, 2]
+
+    def test_dispatch_reads_current_command(self, monkeypatch):
+        # a tracer rebinds cmd_* after the parser is cached; main must call the new one
+        cli.build_parser()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_decode", lambda args: calls.append(args.in_path) or 0)
+        assert main(["decode", "--matrix", "A.json", "--in", "c.csv", "--out", "g.csv"]) == 0
+        assert calls == ["c.csv"]
 
     def test_unknown_subcommand_rejected(self):
         assert main(["frobnicate"]) == 2

@@ -354,6 +354,26 @@ class TestMaskConstraints:
         assert loaded.n == 3
         assert loaded.equations == masked.equations
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_published_equations_reveal_rows_up_to_sign(self, tmp_path, n):
+        # the masking hides nothing: in the equation naming rows l and k, the
+        # coefficients of b_k_* are a nonzero multiple of A[l], and those of b_l_* of A[k]
+        a = generate_random(n, seed=n)
+        path = tmp_path / "masked.json"
+        save_masked_system(mask_constraints(a, mask_seed=n + 1), path)
+        recovered = {}
+        for eq in load_masked_system(path).equations:
+            rows = sorted({int(name.split("_")[1]) for name in eq.coeffs})
+            for row, other in (rows, rows[::-1]):
+                coeffs = np.array([eq.coeffs[f"b_{other}_{j}"] for j in range(n)])
+                unit = coeffs / np.linalg.norm(coeffs)
+                recovered.setdefault(row, []).append(unit)
+        assert sorted(recovered) == list(range(1, n))
+        for row, units in recovered.items():
+            target = a.entries[row] / np.linalg.norm(a.entries[row])
+            for unit in units:
+                assert min(np.abs(unit - target).max(), np.abs(unit + target).max()) <= 1e-12
+
 
     @pytest.mark.parametrize(
         "raw",

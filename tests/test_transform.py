@@ -343,8 +343,9 @@ def _single_pass_idwt(a, c):
     return _oracle_stages_single_pass(scaled_rows(a).T, reordered, c.base, c.q)
 
 
-# larger than one block of 2^15 values and split into unequal passes
-_MULTI_BLOCK = [(2, 16), (2, 17), (3, 10), (5, 7), (7, 6), (16, 4), (16, 5)]
+# larger than one block of 2^15 values and split into unequal passes; (17, 5)
+# and (65, 3) were three passes before every transform became one or two
+_MULTI_BLOCK = [(2, 16), (2, 17), (3, 10), (5, 7), (7, 6), (16, 4), (16, 5), (17, 5), (65, 3)]
 
 
 class TestBlockedPasses:
@@ -396,13 +397,25 @@ class TestBlockedPasses:
         assert c.coeffs.dtype == back.values.dtype == np.float64
         assert c.coeffs.tolist() == back.values.tolist() == [2.5]
 
+    @pytest.mark.parametrize("base,q,groups", [
+        (2, 20, [12, 8]), (2, 53, [12, 41]), (3, 15, [7, 8]), (300, 3, [1, 2]), (3, 9, [9]),
+    ])
+    def test_digit_groups(self, base, q, groups):
+        # at most two passes, the first with N^m <= _LEAD; nothing is allocated
+        assert transform._digit_groups(base, q) == groups
+
     @pytest.mark.parametrize("lead,block", [(4, 16), (9, 27), (16, 64), (2, 1)])
     @pytest.mark.parametrize("base,q", [(2, 9), (3, 5), (4, 4), (5, 3)])
     def test_many_passes(self, monkeypatch, lead, block, base, q):
-        # small block constants give three or more passes on small inputs; the
-        # group reorders around the passes only act there
+        # small block constants split small inputs into two passes whose second
+        # group is wider than _LEAD (or, at (4, 4) with _LEAD 16, as wide as the first)
         monkeypatch.setattr(transform, "_LEAD", lead)
         monkeypatch.setattr(transform, "_BLOCK", block)
+        m = 1
+        while base ** (m + 1) <= lead:
+            m += 1
+        assert transform._digit_groups(base, q) == [m, q - m]
+        assert base ** (q - m) > lead or q - m == m
         for complex_values in (False, True):
             a = generate_random(base, seed=3, complex_entries=complex_values)
             s = random_signal(base, q, seed=4, complex_values=complex_values)
