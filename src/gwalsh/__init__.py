@@ -76,13 +76,11 @@ from .series import (
 )
 from .protocol import (
     BasisPairingReport,
-    CompanionFamily,
     DirectoryChannel,
     ExchangeTranscript,
     InMemoryChannel,
     MaskedConstraintSystem,
     PairingReport,
-    companion_family,
     load_masked_system,
     load_transcript,
     mask_constraints,

@@ -206,10 +206,9 @@ def gram_defect(a: WalshMatrix, q: int) -> float:
     rows and columns, which moves no entry on or off the diagonal.  Its
     diagonal entries are the q-fold products of diag(G), which span
     [d_min^q, d_max^q] for d = |diag(G)|; its largest off-diagonal entry is
-    the largest off-diagonal |G| times (max |G|)^(q-1).  N^q stays limited
-    to MAX_GRID.
+    the largest off-diagonal |G| times (max |G|)^(q-1).
     """
-    _width(a.n, q, MAX_GRID)
+    _width(a.n, q)
     r = scaled_rows(a)
     gram = np.abs((r @ r.conj().T) / a.n)
     d = gram.diagonal()

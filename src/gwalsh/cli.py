@@ -29,7 +29,7 @@ from .protocol import (
     solve_companion,
     solve_companion_numeric,
 )
-from .series import convergence_sweep, martingale_check, write_sweep_csv
+from .series import CSV_DIGITS, convergence_sweep, martingale_check, write_sweep_csv
 from .transform import (
     dwt_fast,
     idwt,
@@ -40,9 +40,6 @@ from .transform import (
     write_coefficients,
     write_signal,
 )
-
-#: significant digits for floats in CLI-written CSV files
-CSV_DIGITS = 12
 
 
 def _add_matrix_arg(p):

@@ -116,9 +116,10 @@ def validate(entries, tol: float = DEFAULT_EXTERNAL_TOL) -> WalshMatrix:
             f"first row deviates from 1/sqrt({n}) by {first_dev:.3e} (tol {tol:.3e})"
         )
     arr[0] = first
+    arr.flags.writeable = False
+    m = WalshMatrix(n=n, entries=arr, tol=float(tol))
 
-    gram = arr.conj().T @ arr
-    defect = float(np.abs(gram - np.eye(n)).max())
+    defect = m.unitarity_defect()
     if not defect <= tol:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds tol {tol:.3e}")
     row_sums = np.abs(arr[1:].sum(axis=1))
@@ -127,8 +128,7 @@ def validate(entries, tol: float = DEFAULT_EXTERNAL_TOL) -> WalshMatrix:
             f"row {1 + int(row_sums.argmax())} sums to {row_sums.max():.3e}, "
             f"not 0 within tol {tol:.3e}"
         )
-    arr.flags.writeable = False
-    return WalshMatrix(n=n, entries=arr, tol=float(tol))
+    return m
 
 
 def generate_n3(a: float, row_choice: str = "second", branch: str = "plus") -> WalshMatrix:

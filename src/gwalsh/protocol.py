@@ -101,27 +101,6 @@ class BasisPairingReport:
     worst_residual: float
 
 
-@dataclass(frozen=True, eq=False)
-class CompanionFamily:
-    """One-parameter family of companions of a fixed real 3x3 matrix.
-
-    Members are indexed by the free parameter r, the last entry of the
-    last row; real members exist for |r| <= admissible_bound (which is
-    sqrt(2/3) for any valid base matrix).
-    """
-
-    base_matrix: WalshMatrix
-    admissible_bound: float
-    branch: str
-
-    @property
-    def admissible_range(self) -> tuple[float, float]:
-        return (-self.admissible_bound, self.admissible_bound)
-
-    def member(self, r: float) -> WalshMatrix:
-        return solve_companion(self.base_matrix, r, branch=self.branch)
-
-
 @dataclass(frozen=True)
 class MaskedEquation:
     """One published linear constraint on the unknown entries b_i_j."""
@@ -211,13 +190,18 @@ def _real_rows(a: WalshMatrix):
 def solve_companion(a: WalshMatrix, r: float, branch: str = "plus") -> WalshMatrix:
     """Closed-form companion of a real 3x3 matrix with last entry r.
 
-    The two non-constant rows of any companion are an orthonormal pair
-    inside the zero-sum plane, for which A's own non-constant rows (u, w)
-    are an orthonormal basis.  Writing the companion rows as
+    The companions of a real 3x3 matrix form a one-parameter family,
+    indexed by r, the last entry of the last row; this function is that
+    family.  The two non-constant rows of any companion are an orthonormal
+    pair inside the zero-sum plane, for which A's own non-constant rows
+    (u, w) are an orthonormal basis.  Writing the companion rows as
     (c u + s w, s u - c w), the pairing condition holds identically and
     the remaining freedom is the point (s, c) on the unit circle with
     s u[2] - c w[2] = r.  That line meets the circle twice (``branch``
-    picks the intersection) exactly when r^2 <= u[2]^2 + w[2]^2 = 2/3.
+    picks the intersection) exactly when r^2 <= u[2]^2 + w[2]^2, which is
+    2/3 for every valid A (A's last column is a unit vector starting with
+    1/sqrt(3)).  Outside |r| <= sqrt(2/3) it raises
+    :class:`NoRealSolutionError`, whose message states the bound.
     """
     if a.n != 3:
         raise ValidationError(f"closed-form companion solve requires n=3, got n={a.n}")
@@ -253,15 +237,6 @@ def solve_companion(a: WalshMatrix, r: float, branch: str = "plus") -> WalshMatr
         np.vstack([constant_row(3), row1, row2]),
         tol=max(DEFAULT_EXTERNAL_TOL, a.tol),
     )
-
-
-def companion_family(a: WalshMatrix, branch: str = "plus") -> CompanionFamily:
-    """The one-parameter companion family of a real 3x3 matrix."""
-    if a.n != 3:
-        raise ValidationError(f"companion families are closed-form only for n=3, got {a.n}")
-    entries = _real_rows(a)
-    bound = math.sqrt(float(entries[1, 2] ** 2 + entries[2, 2] ** 2))
-    return CompanionFamily(base_matrix=a, admissible_bound=bound, branch=branch)
 
 
 def mask_constraints(a: WalshMatrix, mask_seed: int) -> MaskedConstraintSystem:
@@ -395,15 +370,13 @@ def _message_from_bytes(payload: bytes):
     kind_code, code, base, q = _WIRE_HEADER.unpack_from(payload)
     if kind_code not in _WIRE_KINDS or code not in _WIRE_DTYPES:
         raise ValidationError(f"unknown message kind {kind_code!r} or dtype code {code!r}")
-    if base < 2 or q < 0:
-        raise ValidationError(f"message header needs N >= 2 and q >= 0, got N={base}, q={q}")
     dtype = _WIRE_DTYPES[code]
     if (len(payload) - _WIRE_HEADER.size) % dtype.itemsize:
         raise ValidationError(f"message body is not a whole number of {dtype} values")
     values = np.frombuffer(payload, dtype=dtype, offset=_WIRE_HEADER.size)
     if not np.isfinite(values).all():
         raise ValidationError("non-finite value in a message")
-    return _WIRE_KINDS[kind_code](base, q, values)  # checks that there are N^q values
+    return _WIRE_KINDS[kind_code](base, q, values)  # checks N >= 2, q >= 0 and N^q values
 
 
 class InMemoryChannel:
@@ -523,14 +496,12 @@ def transcript_from_dict(d: dict) -> ExchangeTranscript:
     if not isinstance(d, dict) or not d.keys() >= set(fields):
         raise ValidationError(f"transcript JSON must be an object with the fields {fields}")
     n, q = json_int(d["n"], "transcript n"), json_int(d["q"], "transcript q")
-    if n < 2 or q < 0:
-        raise ValidationError(f"transcript needs n >= 2 and q >= 0, got n={n}, q={q}")
     w1, w2, w3, recovered = (json_numbers(d[key], f"transcript {key}", 1) for key in fields[2:6])
     max_error = json_numbers(d["max_error"], "transcript max_error", 0).item()
     violated = d["pairing_violated"]
     if type(violated) is not bool:  # bool("false") is True
         raise ValidationError("transcript pairing_violated must be a JSON boolean")
-    return ExchangeTranscript(
+    return ExchangeTranscript(  # the message constructors check n >= 2, q >= 0 and N^q values
         w1=CoefficientVector(base=n, q=q, coeffs=w1),
         w2=Signal(base=n, q=q, values=w2),
         w3=CoefficientVector(base=n, q=q, coeffs=w3),

@@ -35,6 +35,8 @@ from .transform import CoefficientVector, Signal, dwt_fast, idwt
 
 #: refuse common-refinement grids larger than this many cells
 MAX_COMMON_CELLS = 5_000_000
+#: significant digits for floats in the sweep CSV and in every CLI-written CSV file
+CSV_DIGITS = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,9 +188,8 @@ def convergence_sweep(
 def sweep_to_csv(reports: list[PartialSumReport]) -> str:
     lines = ["k,sup_error,l1_error,l2_error"]
     for r in reports:
-        lines.append(
-            f"{r.k},{r.sup_error:.12g},{r.l1_error:.12g},{r.l2_error:.12g}"
-        )
+        errors = (r.sup_error, r.l1_error, r.l2_error)
+        lines.append(",".join([str(r.k)] + [f"{e:.{CSV_DIGITS}g}" for e in errors]))
     return "\n".join(lines) + "\n"
 
 

@@ -176,8 +176,8 @@ def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
         lead = base**m
         rest = data.size // lead
         src = data.reshape(rest, lead).T if inverse and i == 0 else data.reshape(lead, rest)
-        # a one-digit pass is one full-array product, as unblocked: blocking
-        # gains nothing there, and a one-row block would take BLAS's vector path
+        # a one-digit pass stays one full-array product, as unblocked: BLAS rounds
+        # its blocks differently (at N = 65, 504 columns against 4225), not bit-identical
         cols = max(1, _BLOCK // lead) if m > 1 else rest
         out = None
         for j in range(0, rest, cols):

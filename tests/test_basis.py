@@ -252,6 +252,14 @@ class TestGridMatrix:
         a = generate_random(3, seed=9, complex_entries=True)
         assert gram_defect(a, 2) <= 1e-10
 
+    @pytest.mark.parametrize("base, q, complex_entries", [(3, 8, False), (2, 30, False),
+                                                          (4, 12, True)])
+    def test_orthonormality_past_the_dense_grid(self, base, q, complex_entries):
+        # the closed form never forms the N^q x N^q Gram, so MAX_GRID does not limit it
+        assert base**q > MAX_GRID
+        a = generate_random(base, seed=q, complex_entries=complex_entries)
+        assert gram_defect(a, q) <= 1e-10
+
 
 class TestDirichletKernel:
     def test_same_cell_value(self, matrix_a):

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gwalsh import (
     ValidationError,
     basis,
     cli,
+    generate_random,
     load_masked_system,
     load_matrix,
     load_transcript,
@@ -207,7 +209,7 @@ class TestCheckBoundaries:
         assert err.count("\n") == 1 and len(err) < 200  # one short line, no traceback
 
     def test_verify_limits_q_itself(self, tmp_path, matrix_a_file, monkeypatch):
-        # a gram_defect without the MAX_GRID cap must not let verify allocate 3^13 cells
+        # gram_defect has no MAX_GRID cap: verify itself must refuse to allocate 3^13 cells
         monkeypatch.setattr(basis, "gram_defect", lambda a, q: 0.0)
 
         def no_signal(*args, **kwargs):
@@ -338,6 +340,21 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["pairing_row_residual"] <= 1e-7
         assert report["pairing_basis_residual"] <= 1e-7
+
+    @pytest.mark.parametrize("n, q", [(3, 6), (5, 4), (8, 3)])
+    def test_numeric_companion_session_passes(self, tmp_path, n, q):
+        # the benchmark's verify session: a certified numeric companion, then verify the pair
+        for seed in range(10):
+            a, b, out = (str(tmp_path / f"{name}{seed}.json") for name in ("A", "B", "report"))
+            save_matrix(generate_random(n, seed=seed), a)
+            codes = [
+                main(["solve-b", "--matrix", a, "--numeric", "--mask-seed", str(100 + seed),
+                      "--out", b]),
+                main(["verify", "--matrix", a, "--matrix-b", b, "--q", str(q), "--out", out]),
+            ]
+            assert codes == [0, 0], (seed, codes)
+            report = json.loads(Path(out).read_text())
+            assert report["pass"] is True, (seed, report["failing"])
 
 
 class TestExchange:

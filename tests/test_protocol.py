@@ -22,7 +22,6 @@ from gwalsh import (
     NoRealSolutionError,
     Signal,
     ValidationError,
-    companion_family,
     generate_random,
     grid_matrix,
     load_masked_system,
@@ -183,12 +182,12 @@ class TestPairingRows:
 class TestPairingBasis:
     def test_forward_direction_family_pairs(self, matrix_a):
         rng = np.random.default_rng(17)
-        family = companion_family(matrix_a)
-        for _ in range(25):
-            r = float(rng.uniform(-family.admissible_bound, family.admissible_bound))
-            b = family.member(r)
-            report = pairing_check_basis(matrix_a, b, q=2, tol=1e-8)
-            assert report.holds
+        bound = np.sqrt(2.0 / 3.0)  # the whole real companion family of a 3x3 matrix
+        for branch in ("plus", "minus"):
+            for _ in range(25):
+                b = solve_companion(matrix_a, float(rng.uniform(-bound, bound)), branch=branch)
+                report = pairing_check_basis(matrix_a, b, q=2, tol=1e-8)
+                assert report.holds
 
     def test_converse_direction_failure_at_single_digit_pair(self, matrix_a):
         partner = rotated_partner(matrix_a, 0.2)
@@ -263,8 +262,11 @@ class TestSolveCompanion:
         assert pairing_check_rows(matrix_a, minus, tol=1e-10).holds
 
     def test_no_real_solution(self, matrix_a):
-        with pytest.raises(NoRealSolutionError):
+        # the message states the bound, sqrt(2/3) for every valid matrix
+        with pytest.raises(NoRealSolutionError, match=r"\|r\| <= 0\.816496580928 "):
             solve_companion(matrix_a, 0.9)
+        with pytest.raises(NoRealSolutionError):
+            solve_companion(matrix_a, -0.8165)  # just past -sqrt(2/3) = -0.81649658...
 
     def test_arbitrary_base_matrices(self):
         rng = np.random.default_rng(9)
@@ -280,21 +282,6 @@ class TestSolveCompanion:
             solve_companion(generate_random(4, seed=0), 0.1)
         with pytest.raises(ValidationError):
             solve_companion(generate_random(3, seed=0, complex_entries=True), 0.1)
-
-
-class TestCompanionFamily:
-    def test_admissible_bound(self, matrix_a):
-        family = companion_family(matrix_a)
-        assert family.admissible_bound == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-12)
-        lo, hi = family.admissible_range
-        assert lo == -hi
-
-    def test_members_valid_and_paired(self, matrix_a):
-        family = companion_family(matrix_a, branch="minus")
-        for r in np.linspace(-0.8, 0.8, 9):
-            member = family.member(float(r))
-            assert member.unitarity_defect() <= 1e-8
-            assert pairing_check_rows(matrix_a, member, tol=1e-8).holds
 
 
 class TestMaskConstraints:
@@ -609,6 +596,7 @@ class TestRunExchange:
             lambda d: d.__setitem__("n", "3"),
             lambda d: d.__setitem__("q", 2.5),
             lambda d: d.__setitem__("q", None),
+            lambda d: d.__setitem__("q", -1),
             lambda d: d.update(n=1, q=0, w1=[0.5], w2=[0.5], w3=[0.5], recovered=[0.5]),
             lambda d: d.__setitem__("max_error", "x"),
             lambda d: d.__setitem__("max_error", None),
@@ -619,8 +607,8 @@ class TestRunExchange:
             lambda d: d.__setitem__("max_error", float("inf")),
         ],
         ids=["missing-message", "missing-n", "null-value", "string-value", "message-str",
-             "triples", "n-fraction", "n-str", "q-fraction", "q-null", "base-one",
-             "max-error-str", "max-error-null", "violated-str", "violated-int",
+             "triples", "n-fraction", "n-str", "q-fraction", "q-null", "q-negative",
+             "base-one", "max-error-str", "max-error-null", "violated-str", "violated-int",
              "numeric-str-value", "bool-value", "max-error-inf"],
     )
     def test_malformed_transcript_raises_validation_error(self, matrix_a, signal_f, edit):
