@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import BadRowError, DigitOverflowError, OutOfDomainError, ValidationError
-from .matrix import WalshMatrix
+from .matrix import WalshMatrix, seeded_rng
 
 #: largest grid size for which dense N^q x N^q matrices may be formed
 MAX_GRID = 2048
@@ -226,7 +226,7 @@ def kernel_deviation(a: WalshMatrix, q: int, samples: int = 1000, seed: int = 0)
     width = _width(a.n, q)
     if samples < 1:
         raise ValidationError(f"samples must be at least 1, got {samples}")
-    points = np.random.default_rng(seed).random((samples, 2))
+    points = seeded_rng(seed).random((samples, 2))
     cells = np.minimum((points * width).astype(np.int64), width - 1)
     jx, jt = cells[:, [0, 1, 0, 0]].reshape(-1, 2).T  # each pair (x, t), then (x, x)
     return float(np.abs(_kernel_product(a, q, jx, jt) / width - (jx == jt)).max())

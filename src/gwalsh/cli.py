@@ -4,9 +4,9 @@ Every subcommand is a thin shell over one library operation; all I/O
 goes through the declared file formats (matrix JSON, signal/coefficient
 CSV, transcript and masked-system JSON, sweep CSV).  Exit codes: 0 on
 success, 1 on numeric failures (no solution, no convergence, not
-unitary), 2 on validation errors, with a single-line diagnostic on
-stderr.  Runs are deterministic given their flags; all randomness is
-seeded.
+unitary), 2 on validation errors and on sizes that cannot be allocated,
+with a single-line diagnostic on stderr.  Runs are deterministic given
+their flags; all randomness is seeded.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_arg(p)
     p.add_argument("--r", type=float, help="free parameter (closed form, N=3)")
     p.add_argument("--branch", choices=("plus", "minus"))
-    p.add_argument("--numeric", action="store_true",
+    p.add_argument("--numeric", action="store_true", default=None,
                    help="build a seeded reflection companion (any N)")
     p.add_argument("--mask-seed", dest="mask_seed", type=int,
                    help="certify against the masked system with this seed")
@@ -140,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _reject_unread(args, path: str, *flags: str) -> None:
     """Reject flags given explicitly that the chosen path never reads."""
-    given = ["--" + flag.replace("_", "-") for flag in flags if getattr(args, flag) is not None]
+    given = ["--" + flag.replace("_", "-") for flag in flags
+             if getattr(args, flag, None) is not None]
     if given:
         raise ValidationError(f"not read with {path}: {', '.join(given)}")
 
@@ -175,23 +176,23 @@ def cmd_gen_matrix(args) -> int:
     return 0
 
 
+def _companion(args, a):
+    """B and its masked system (or None): closed form with --r, else the numeric companion."""
+    if args.r is not None:
+        _reject_unread(args, "--r", "seed", "numeric", "mask_seed")
+        return solve_companion(a, args.r, branch=args.branch or "plus"), None
+    _reject_unread(args, "the numeric companion (no --r)", "branch")
+    masked = None if args.mask_seed is None else mask_constraints(a, args.mask_seed)
+    b = solve_companion_numeric(a, masked, seed=args.seed or 0, tol=min(args.tol, 1e-10))
+    return b, masked
+
+
 def cmd_solve_b(args) -> int:
-    if args.r is not None and (args.numeric or args.mask_seed is not None):
-        raise ValidationError("--r (closed form) excludes --numeric and --mask-seed")
     if args.masked_out and args.mask_seed is None:
         raise ValidationError("--masked-out needs --mask-seed")
-    a = load_matrix(args.matrix, tol=args.tol)
-    if args.r is None:
-        _reject_unread(args, "the numeric companion (no --r)", "branch")
-        masked = None
-        if args.mask_seed is not None:
-            masked = mask_constraints(a, args.mask_seed)
-            if args.masked_out:
-                protocol.save_masked_system(masked, args.masked_out)
-        b = solve_companion_numeric(a, masked, seed=args.seed or 0, tol=min(args.tol, 1e-10))
-    else:
-        _reject_unread(args, "--r", "seed")
-        b = solve_companion(a, args.r, branch=args.branch or "plus")
+    b, masked = _companion(args, load_matrix(args.matrix, tol=args.tol))
+    if args.masked_out:  # only once B is certified against it
+        protocol.save_masked_system(masked, args.masked_out)
     save_matrix(b, args.out)
     return 0
 
@@ -290,15 +291,10 @@ def cmd_exchange(args) -> int:
     if args.matrix_b:
         _reject_unread(args, "--matrix-b", "branch", "seed")
         b = load_matrix(args.matrix_b, tol=args.tol)
-    elif args.r is not None:
-        _reject_unread(args, "--r", "seed")
-        b = solve_companion(a, args.r, branch=args.branch or "plus")
-    elif args.mask_seed is not None:
-        _reject_unread(args, "--mask-seed", "branch")
-        masked = mask_constraints(a, args.mask_seed)
-        b = solve_companion_numeric(a, masked, seed=args.seed or 0, tol=min(args.tol, 1e-10))
-    else:
+    elif args.r is None and args.mask_seed is None:
         raise ValidationError("provide --matrix-b, --r, or --mask-seed")
+    else:
+        b, _ = _companion(args, a)
     s = _load_signal(args, a.n)
     channel = protocol.DirectoryChannel(args.msg_dir) if args.msg_dir else None
     transcript = run_exchange(a, b, s, channel=channel)
@@ -320,7 +316,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

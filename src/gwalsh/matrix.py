@@ -169,6 +169,17 @@ def generate_n3(a: float, row_choice: str = "second", branch: str = "plus") -> W
     return validate(np.vstack([r0, r1, r2]), tol=DEFAULT_GENERATED_TOL)
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """``numpy.random.default_rng(seed)`` for a non-negative integer seed.
+
+    Every random draw in gwalsh starts here.  ``None`` would draw fresh OS
+    entropy, so it is rejected with booleans, negative and non-integer seeds.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def generate_random(n: int, seed: int, complex_entries: bool = False) -> WalshMatrix:
     """Seeded random Walsh-generating matrix of size n.
 
@@ -179,7 +190,7 @@ def generate_random(n: int, seed: int, complex_entries: bool = False) -> WalshMa
     """
     if n < 2:
         raise BadDimensionError(f"base must be at least 2, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     rows = [constant_row(n).astype(np.complex128 if complex_entries else np.float64)]
     for _ in range(1, n):
         for _ in range(_MAX_DRAWS):

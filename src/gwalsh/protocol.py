@@ -65,6 +65,7 @@ from .matrix import (
     json_values,
     read_json,
     read_text,
+    seeded_rng,
     validate,
 )
 from .transform import (
@@ -249,7 +250,7 @@ def mask_constraints(a: WalshMatrix, mask_seed: int) -> MaskedConstraintSystem:
     multiplied by a scalar with magnitude in [0.5, 2.0] and random sign.
     """
     entries = _real_rows(a)
-    rng = np.random.default_rng(mask_seed)
+    rng = seeded_rng(mask_seed)
     equations = []
     for l in range(1, a.n):
         for k in range(l + 1, a.n):
@@ -313,7 +314,7 @@ def solve_companion_numeric(
     if masked is not None and not a.is_real:
         raise ValidationError("masked systems carry real coefficients; "
                               "complex matrices derive pairing equations directly")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     v = rng.standard_normal(n - 1)
     if not a.is_real:
         v = v + 1j * rng.standard_normal(n - 1)

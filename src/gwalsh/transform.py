@@ -38,7 +38,7 @@ import numpy as np
 
 from .basis import cell_count, digit_length, scaled_rows, walsh_on_grid
 from .errors import BaseMismatchError, ValidationError
-from .matrix import WalshMatrix, read_text
+from .matrix import WalshMatrix, read_text, seeded_rng
 
 
 def _as_cells(values, base: int, q: int) -> np.ndarray:
@@ -106,7 +106,11 @@ _active_counters: ContextVar[tuple] = ContextVar("gwalsh_active_counters", defau
 
 @contextmanager
 def count_multiplies():
-    """Yield a :class:`MultiplyCounter` of the transforms this thread or task runs in the block."""
+    """Yield a :class:`MultiplyCounter` of the transforms this thread or task runs in the block.
+
+    It counts q * N^(q+1) per :func:`dwt_fast` or :func:`idwt` call on N^q
+    cells; a direct call of the pass driver ``_butterfly`` counts nothing.
+    """
     counter = MultiplyCounter()
     token = _active_counters.set(_active_counters.get() + (counter,))
     try:
@@ -115,7 +119,9 @@ def count_multiplies():
         _active_counters.reset(token)
 
 
-def _tally(count: int) -> None:
+def _tally(base: int, q: int) -> None:
+    """Count one transform on N^q cells: q stages of N x N products, q * N^(q+1) multiplies."""
+    count = q * base ** (q + 1)
     for counter in _active_counters.get():
         counter.count += count
 
@@ -194,7 +200,6 @@ def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
             blk = blk.reshape((-1,) + (base,) * m)
             dst[j:j + cols] = blk if inverse else blk.transpose(0, *range(m, 0, -1))
         data = out
-        _tally(m * base ** (q + 1))
     return data
 
 
@@ -203,6 +208,7 @@ def dwt_fast(a: WalshMatrix, s: Signal) -> CoefficientVector:
     _check_base(a, s.base)
     kernel = np.conj(scaled_rows(a)) / a.n  # row 0 is exactly 1/N
     coeffs = _butterfly(kernel, s.values, s.base, s.q, inverse=False)
+    _tally(s.base, s.q)
     return CoefficientVector(base=s.base, q=s.q, coeffs=coeffs)
 
 
@@ -211,6 +217,7 @@ def idwt(a: WalshMatrix, c: CoefficientVector) -> Signal:
     _check_base(a, c.base)
     kernel = scaled_rows(a).T  # column 0 is exactly 1
     values = _butterfly(kernel, c.coeffs, c.base, c.q, inverse=True)
+    _tally(c.base, c.q)
     return Signal(base=c.base, q=c.q, values=values)
 
 
@@ -333,7 +340,7 @@ def read_coefficients(path) -> CoefficientVector:
 def random_signal(base: int, q: int, seed: int, complex_values: bool = False) -> Signal:
     """Seeded random signal with cell values uniform in [0, 1)."""
     width = cell_count(base, q)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     values = rng.random(width)
     if complex_values:
         values = values + 1j * rng.random(width)

@@ -9,14 +9,18 @@ import pytest
 
 import reference_values as rv
 from gwalsh import (
+    NoConvergenceError,
     ValidationError,
     basis,
     cli,
+    count_multiplies,
     generate_random,
     load_masked_system,
     load_matrix,
     load_transcript,
+    protocol,
     save_matrix,
+    series,
 )
 from gwalsh.cli import main
 from gwalsh.transform import read_coefficients, read_signal
@@ -98,6 +102,17 @@ class TestSolveB:
 
         assert pairing_check_rows(matrix_a, load_matrix(out), tol=1e-8).holds
 
+    def test_failed_solve_writes_no_file(self, tmp_path, matrix_a_file, monkeypatch):
+        # the masked system is written only once B is certified against it
+        def no_convergence(*args, **kwargs):
+            raise NoConvergenceError("companion residual 4.441e-16 exceeds tol 3.000e-16")
+
+        monkeypatch.setattr(cli, "solve_companion_numeric", no_convergence)
+        out, masked_out = tmp_path / "B.json", tmp_path / "m.json"
+        assert main(["solve-b", "--matrix", matrix_a_file, "--numeric", "--mask-seed", "5",
+                     "--masked-out", str(masked_out), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert not masked_out.exists()
 
     def test_two_by_two_masked_system_is_empty(self, tmp_path):
         # N = 2 has no pair 1 <= l < k <= N-1, so no equation; the format
@@ -356,6 +371,27 @@ class TestVerify:
             report = json.loads(Path(out).read_text())
             assert report["pass"] is True, (seed, report["failing"])
 
+    def test_verify_session_counts_only_its_transforms(self, tmp_path, monkeypatch):
+        # count_multiplies() is q * N^(q+1) summed over the dwt_fast/idwt calls the
+        # session makes, the closed form the benchmark's traced self-check compares with
+        closed = []
+        for module in (series, protocol, cli):
+            for name in ("dwt_fast", "idwt"):
+                def counted(a, data, transform=getattr(module, name)):
+                    closed.append(data.q * data.base ** (data.q + 1))
+                    return transform(a, data)
+
+                monkeypatch.setattr(module, name, counted)
+        a, b = str(tmp_path / "A.json"), str(tmp_path / "B.json")
+        with count_multiplies() as counter:
+            for n, q in [(3, 6), (5, 4), (8, 3)]:
+                save_matrix(generate_random(n, seed=0), a)
+                assert main(["solve-b", "--matrix", a, "--numeric", "--mask-seed", "100",
+                             "--out", b]) == 0
+                assert main(["verify", "--matrix", a, "--matrix-b", b, "--q", str(q),
+                             "--out", str(tmp_path / "report.json")]) == 0
+        assert closed and counter.count == sum(closed)
+
 
 class TestExchange:
     def test_with_explicit_partner(self, tmp_path, matrix_a_file, matrix_b_file, signal_file):
@@ -397,6 +433,25 @@ class TestExchange:
         assert rc == 0
         assert load_transcript(out).max_error <= 1e-6
 
+    @pytest.mark.parametrize("derive, solve", [
+        (["--r", "0.2"], ["--r", "0.2"]),
+        (["--r", "0.2", "--branch", "minus"], ["--r", "0.2", "--branch", "minus"]),
+        (["--mask-seed", "5"], ["--numeric", "--mask-seed", "5"]),
+        (["--mask-seed", "5", "--seed", "3"], ["--numeric", "--mask-seed", "5", "--seed", "3"]),
+    ], ids=["r", "r-minus", "mask-seed", "mask-seed-seed"])
+    def test_derived_partner_is_solve_b_partner(self, tmp_path, matrix_a_file, signal_file,
+                                                derive, solve):
+        # exchange derives B on the one path that solve-b writes it
+        b = str(tmp_path / "B.json")
+        assert main(["solve-b", "--matrix", matrix_a_file, *solve, "--out", b]) == 0
+        transcripts = []
+        for partner in (derive, ["--matrix-b", b]):
+            out = tmp_path / f"t{len(transcripts)}.json"
+            assert main(["exchange", "--matrix", matrix_a_file, *partner,
+                         "--signal", signal_file, "--out", str(out)]) == 0
+            transcripts.append(out.read_bytes())
+        assert transcripts[0] == transcripts[1]
+
     def test_partner_required(self, tmp_path, matrix_a_file, signal_file):
         rc = main(["exchange", "--matrix", matrix_a_file, "--signal", signal_file,
                    "--out", str(tmp_path / "t.json")])
@@ -410,13 +465,16 @@ _UNREAD = [
     ["gen-matrix", "--n", "3", "--row", "3", "--branch", "minus"],
     ["solve-b", "--matrix", "{A}", "--numeric", "--branch", "minus"],
     ["solve-b", "--matrix", "{A}", "--r", "0.2", "--seed", "4"],
+    ["solve-b", "--matrix", "{A}", "--r", "0.2", "--numeric"],
+    ["solve-b", "--matrix", "{A}", "--r", "0.2", "--mask-seed", "5", "--masked-out", "{m}"],
     ["exchange", "--matrix", "{A}", "--matrix-b", "{B}", "--branch", "minus", "--seed", "4",
      "--signal", "{f}"],
     ["exchange", "--matrix", "{A}", "--r", "0.2", "--seed", "4", "--signal", "{f}"],
     ["exchange", "--matrix", "{A}", "--mask-seed", "5", "--branch", "minus", "--signal", "{f}"],
 ]
 _UNREAD_IDS = ["entry-complex", "entry-seed", "n-row-branch", "numeric-branch", "r-seed",
-               "matrix-b-branch-seed", "exchange-r-seed", "mask-seed-branch"]
+               "r-numeric", "r-mask-seed", "matrix-b-branch-seed", "exchange-r-seed",
+               "mask-seed-branch"]
 
 # one process's calls: every exit code, --tol before and after the subcommand
 # (and then left out again), the unread-flag rejections, and --help
@@ -456,14 +514,11 @@ class TestArgumentHandling:
             ["gen-matrix", "--entry", "0.4", "--n", "5"],
             ["exchange", "--matrix", "{A}", "--matrix-b", "{B}", "--r", "0.5", "--mask-seed", "3",
              "--signal", "{f}"],
-            ["solve-b", "--matrix", "{A}", "--r", "0.2", "--numeric"],
-            ["solve-b", "--matrix", "{A}", "--r", "0.2", "--mask-seed", "5",
-             "--masked-out", "{m}"],
             # --masked-out has no masked system to write without --mask-seed
             ["solve-b", "--matrix", "{A}", "--numeric", "--masked-out", "{m}"],
         ],
-        ids=["signal-and-inline", "entry-and-n", "matrix-b-r-mask-seed", "r-and-numeric",
-             "r-and-mask-seed", "masked-out-without-mask-seed"],
+        ids=["signal-and-inline", "entry-and-n", "matrix-b-r-mask-seed",
+             "masked-out-without-mask-seed"],
     )
     def test_input_named_twice_rejected(self, tmp_path, matrix_a_file, matrix_b_file,
                                         signal_file, argv):
@@ -477,20 +532,56 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("argv", _UNREAD, ids=_UNREAD_IDS)
     def test_unread_flag_rejected(self, tmp_path, matrix_a_file, matrix_b_file, signal_file,
                                   capsys, argv):
-        paths = {"A": matrix_a_file, "B": matrix_b_file, "f": signal_file}
+        masked = tmp_path / "m.json"
+        paths = {"A": matrix_a_file, "B": matrix_b_file, "f": signal_file, "m": str(masked)}
         out = tmp_path / "out"
         start = time.perf_counter()
         assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 2
         assert time.perf_counter() - start < 1
         assert not out.exists()
+        assert not masked.exists()
         err = capsys.readouterr().err
         assert err.startswith("ValidationError: not read with ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-matrix", "--n", "3", "--seed", "-1"],
+        ["kernel-check", "--matrix", "{A}", "--q", "2", "--seed", "-1"],
+        ["verify", "--matrix", "{A}", "--q", "2", "--seed", "-1"],
+        ["solve-b", "--matrix", "{A}", "--numeric", "--seed", "-2"],
+        ["solve-b", "--matrix", "{A}", "--numeric", "--mask-seed", "-1", "--masked-out", "{m}"],
+        ["exchange", "--matrix", "{A}", "--mask-seed", "-1", "--signal", "{f}"],
+    ], ids=["gen-matrix", "kernel-check", "verify", "solve-b-seed", "solve-b-mask-seed",
+            "exchange-mask-seed"])
+    def test_negative_seed_rejected(self, tmp_path, matrix_a_file, signal_file, capsys, argv):
+        masked = tmp_path / "m.json"
+        paths = {"A": matrix_a_file, "f": signal_file, "m": str(masked)}
+        out = tmp_path / "out"
+        assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert not masked.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("ValidationError: seed must be a non-negative integer")
+        assert err.count("\n") == 1
+
+    # 10^17 values take more bytes than a 57-bit (let alone 47-bit) user address
+    # space holds, so the allocation fails at once and no memory is touched
+    @pytest.mark.parametrize("argv", [
+        ["gen-matrix", "--n", str(10**17)],
+        ["kernel-check", "--matrix", "{A}", "--q", "2", "--samples", str(10**17)],
+    ], ids=["gen-matrix-n", "kernel-check-samples"])
+    def test_unallocatable_size_rejected(self, tmp_path, matrix_a_file, capsys, argv):
+        out = tmp_path / "out"
+        assert main([arg.format(A=matrix_a_file) for arg in argv] + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("MemoryError: ") and err.count("\n") == 1
 
     def test_cached_parser_matches_fresh(self, tmp_path, capsys, monkeypatch):
         assert cli.build_parser() is cli.build_parser()
 
         def session(d):
-            paths = {"A": f"{d}/A.json", "B": f"{d}/B.json", "f": f"{d}/f.csv", "d": d}
+            paths = {"A": f"{d}/A.json", "B": f"{d}/B.json", "f": f"{d}/f.csv", "d": d,
+                     "m": f"{d}/m.json"}
             runs = []
             for argv in _SESSION:
                 rc = main([arg.format(**paths) for arg in argv])

@@ -21,7 +21,10 @@ from gwalsh import (
     save_matrix,
     validate,
 )
-from gwalsh.matrix import constant_row, matrix_from_dict
+from gwalsh.basis import kernel_deviation
+from gwalsh.matrix import constant_row, matrix_from_dict, seeded_rng
+from gwalsh.protocol import mask_constraints, solve_companion_numeric
+from gwalsh.transform import random_signal
 
 
 def _matrix_a_with(value, i, j):
@@ -158,6 +161,31 @@ class TestGenerateRandom:
     def test_too_small(self):
         with pytest.raises(BadDimensionError):
             generate_random(1, seed=0)
+
+
+# every seeded draw in the package, as a function of the seed
+_SEEDED = {
+    "kernel_deviation": lambda a, seed: kernel_deviation(a, 2, samples=10, seed=seed),
+    "generate_random": lambda a, seed: generate_random(3, seed),
+    "random_signal": lambda a, seed: random_signal(3, 2, seed),
+    "mask_constraints": lambda a, seed: mask_constraints(a, seed),
+    "solve_companion_numeric": lambda a, seed: solve_companion_numeric(a, seed=seed),
+}
+
+
+class TestSeededRng:
+    @pytest.mark.parametrize("seed", [-1, None, True, 1.5, "3"],
+                             ids=["negative", "none", "bool", "float", "str"])
+    @pytest.mark.parametrize("site", list(_SEEDED))
+    def test_bad_seed_rejected(self, matrix_a, site, seed):
+        # None would draw fresh OS entropy, and a run would not repeat
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            _SEEDED[site](matrix_a, seed)
+
+    def test_integer_seeds_draw_as_numpy(self):
+        for seed in (0, 7, np.int64(7), 2**70):
+            want = np.random.default_rng(seed).random(4)
+            assert np.array_equal(seeded_rng(seed).random(4), want)
 
 
 class TestRowPair:

@@ -203,6 +203,19 @@ class TestMultiplyCount:
             dwt_naive(matrix_a, signal_f)
         assert counter.count == 0
 
+    def test_direct_driver_call_not_counted(self):
+        # the transforms own the tally: a batched pass-driver call on a flat
+        # (cells, batch) array, one signal per column, counts nothing
+        a = generate_random(3, seed=1)
+        signals = [random_signal(3, 6, seed=seed) for seed in range(5)]
+        kernel = np.conj(scaled_rows(a)) / a.n
+        with count_multiplies() as counter:
+            out = transform._butterfly(kernel, np.stack([s.values for s in signals], axis=1),
+                                       3, 6, inverse=False)
+        assert counter.count == 0
+        want = np.stack([dwt_fast(a, s).coeffs for s in signals], axis=1)
+        np.testing.assert_allclose(out.reshape(want.shape), want, rtol=0, atol=1e-14)
+
     def test_nested_counters_both_count(self, matrix_a, signal_f):
         with count_multiplies() as outer:
             dwt_fast(matrix_a, signal_f)
