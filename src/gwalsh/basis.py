@@ -31,6 +31,8 @@ from .matrix import WalshMatrix, seeded_rng
 
 #: largest grid size for which dense N^q x N^q matrices may be formed
 MAX_GRID = 2048
+#: most point pairs kernel_deviation samples: about 0.5 s and 200 MB
+MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -224,8 +226,8 @@ def kernel_deviation(a: WalshMatrix, q: int, samples: int = 1000, seed: int = 0)
     value N^q carries rounding of order N^q q eps, hence the division by N^q.
     """
     width = _width(a.n, q)
-    if samples < 1:
-        raise ValidationError(f"samples must be at least 1, got {samples}")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValidationError(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
     points = seeded_rng(seed).random((samples, 2))
     cells = np.minimum((points * width).astype(np.int64), width - 1)
     jx, jt = cells[:, [0, 1, 0, 0]].reshape(-1, 2).T  # each pair (x, t), then (x, x)

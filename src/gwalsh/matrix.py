@@ -42,9 +42,15 @@ BRANCHES = ("plus", "minus")
 
 _MAX_DRAWS = 64
 
+#: largest matrix size: the widest lead the blocked butterfly passes are built
+#: for; generate_random's Gram-Schmidt takes minutes there (3.6 on one 2-core VM)
+MAX_N = 4096
+
 
 def constant_row(n: int) -> np.ndarray:
-    """Exact constant first row (1/sqrt(n), ..., 1/sqrt(n))."""
+    """Exact constant first row (1/sqrt(n), ..., 1/sqrt(n)), for 2 <= n <= MAX_N."""
+    if not 2 <= n <= MAX_N:
+        raise BadDimensionError(f"base must be between 2 and {MAX_N}, got {n}")
     return np.full(n, 1.0 / math.sqrt(n))
 
 
@@ -102,20 +108,22 @@ def validate(entries, tol: float = DEFAULT_EXTERNAL_TOL) -> WalshMatrix:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise BadDimensionError(f"entries must be square, got shape {arr.shape}")
     n = arr.shape[0]
-    if n < 2:
-        raise BadDimensionError(f"base must be at least 2, got {n}")
+    first = constant_row(n)
     if np.iscomplexobj(arr) and not arr.imag.any():
         arr = arr.real
     dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
     arr = arr.astype(dtype)
 
-    first = constant_row(n)
     first_dev = float(np.abs(arr[0] - first).max())
     if not first_dev <= tol:
         raise BadFirstRowError(
             f"first row deviates from 1/sqrt({n}) by {first_dev:.3e} (tol {tol:.3e})"
         )
     arr[0] = first
+    # no unitary matrix has an entry above 1, and bounded entries keep the Gram finite
+    peak = float(np.abs(arr).max())
+    if not peak <= 1 + tol:
+        raise NotUnitaryError(f"an entry has magnitude {peak:.3e}, above 1 + tol ({tol:.3e})")
     arr.flags.writeable = False
     m = WalshMatrix(n=n, entries=arr, tol=float(tol))
 
@@ -188,10 +196,8 @@ def generate_random(n: int, seed: int, complex_entries: bool = False) -> WalshMa
     the all-ones direction by modified Gram-Schmidt, so the output is a
     pure function of ``(n, seed, complex_entries)``.
     """
-    if n < 2:
-        raise BadDimensionError(f"base must be at least 2, got {n}")
-    rng = seeded_rng(seed)
     rows = [constant_row(n).astype(np.complex128 if complex_entries else np.float64)]
+    rng = seeded_rng(seed)
     for _ in range(1, n):
         for _ in range(_MAX_DRAWS):
             v = rng.standard_normal(n)

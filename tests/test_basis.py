@@ -32,7 +32,7 @@ from gwalsh import (
     walsh_eval,
     walsh_on_grid,
 )
-from gwalsh.basis import MAX_GRID, cell_count, cell_of, digit_length, scaled_rows
+from gwalsh.basis import MAX_GRID, MAX_SAMPLES, cell_count, cell_of, digit_length, scaled_rows
 
 
 def dense_gram_defect(a, q):
@@ -387,6 +387,14 @@ class TestResolutionBounds:
     def test_no_samples_rejected(self, matrix_a):
         with pytest.raises(ValidationError):
             kernel_deviation(matrix_a, 2, samples=0)
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**18],
+                             ids=["over-limit", "past-index-range"])
+    def test_too_many_samples_rejected_at_once(self, matrix_a, samples):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=f"between 1 and {MAX_SAMPLES}"):
+            kernel_deviation(matrix_a, 2, samples=samples)
+        assert time.perf_counter() - start < 1
 
     def test_cells_beyond_two_to_the_53_rejected(self, matrix_a):
         q = 34  # 3^33 < 2^53 < 3^34

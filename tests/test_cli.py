@@ -23,6 +23,7 @@ from gwalsh import (
     series,
 )
 from gwalsh.cli import main
+from gwalsh.matrix import MAX_N
 from gwalsh.transform import read_coefficients, read_signal
 
 
@@ -300,6 +301,22 @@ class TestMalformedMatrix:
         assert rc == 2
         assert not out.exists()
 
+    def test_huge_entry_one_stderr_line_with_warnings_as_errors(self, tmp_path):
+        # the entry bound comes before the Gram, which would overflow and warn
+        matrix = tmp_path / "A.json"
+        half = 0.7071067811865476
+        matrix.write_text(json.dumps({"entries": [[half, half], [1e200, -1e200]]}))
+        out = tmp_path / "c.csv"
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gwalsh", "encode", "--matrix", str(matrix),
+             "--signal-inline", "01", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("NotUnitaryError: ") and result.stderr.count("\n") == 1
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("flag", ["--signal", "--in", "--matrix"])
 def test_non_utf8_file_exit_two(tmp_path, matrix_a_file, signal_file, capsys, flag):
@@ -563,18 +580,30 @@ class TestArgumentHandling:
         assert err.startswith("ValidationError: seed must be a non-negative integer")
         assert err.count("\n") == 1
 
-    # 10^17 values take more bytes than a 57-bit (let alone 47-bit) user address
-    # space holds, so the allocation fails at once and no memory is touched
+    # sizes are bounded (matrix.MAX_N, basis.MAX_SAMPLES) before anything is
+    # allocated: 10^17 values would not fit a 57-bit address space, past 2^63
+    # bytes numpy's index type overflows, and n = MAX_N + 1 would run Gram-Schmidt
+    # for minutes
     @pytest.mark.parametrize("argv", [
         ["gen-matrix", "--n", str(10**17)],
         ["kernel-check", "--matrix", "{A}", "--q", "2", "--samples", str(10**17)],
-    ], ids=["gen-matrix-n", "kernel-check-samples"])
+        ["gen-matrix", "--n", str(10**19)],
+        ["gen-matrix", "--n", str(MAX_N + 1)],
+        ["kernel-check", "--matrix", "{A}", "--q", "2", "--samples", str(10**18)],
+        ["kernel-check", "--matrix", "{A}", "--q", "2", "--samples", str(basis.MAX_SAMPLES + 1)],
+    ], ids=["gen-matrix-n", "kernel-check-samples", "gen-matrix-n-past-index-range",
+            "gen-matrix-n-over-limit", "kernel-check-samples-past-index-range",
+            "kernel-check-samples-over-limit"])
     def test_unallocatable_size_rejected(self, tmp_path, matrix_a_file, capsys, argv):
         out = tmp_path / "out"
+        start = time.perf_counter()
         assert main([arg.format(A=matrix_a_file) for arg in argv] + ["--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("MemoryError: ") and err.count("\n") == 1
+        assert err.startswith(("BadDimensionError: base must be between 2 and ",
+                               "ValidationError: samples must be between 1 and "))
+        assert err.count("\n") == 1
 
     def test_cached_parser_matches_fresh(self, tmp_path, capsys, monkeypatch):
         assert cli.build_parser() is cli.build_parser()

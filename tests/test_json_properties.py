@@ -102,7 +102,6 @@ def test_matrix_json_round_trips_bit_exactly(n, seed, complex_entries):
 @given(st.one_of(_json, *[_mutated(matrix_to_dict(m)) for m in _MATRICES]))
 @example({"entries": [[10**400]]})
 @example({"entries": matrix_to_dict(_MATRICES[0])["entries"], "tol": 10**400})
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # entries near 1e308 in validate
 def test_matrix_json_loads_or_raises(raw):
     _round_trips(matrix_from_dict, matrix_to_dict, raw)
 

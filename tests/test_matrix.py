@@ -1,4 +1,6 @@
 import json
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from gwalsh import (
     validate,
 )
 from gwalsh.basis import kernel_deviation
-from gwalsh.matrix import constant_row, matrix_from_dict, seeded_rng
+from gwalsh.matrix import MAX_N, constant_row, matrix_from_dict, seeded_rng
 from gwalsh.protocol import mask_constraints, solve_companion_numeric
 from gwalsh.transform import random_signal
 
@@ -68,6 +70,22 @@ class TestValidate:
     def test_too_small_rejected(self):
         with pytest.raises(BadDimensionError):
             validate(np.ones((1, 1)))
+
+    @pytest.mark.parametrize("row", [
+        [1e200, -1e200],
+        [1.7e308, -1.7e308],
+        [complex(1.7e308, 1.7e308), complex(-1.7e308, -1.7e308)],
+        [np.nan, 0.5],
+        [np.inf, -np.inf],
+    ], ids=["1e200", "near-max", "complex-near-max", "nan", "inf"])
+    def test_entry_above_one_rejected_without_warning(self, row):
+        # no unitary matrix has an entry above 1; rejecting one before the
+        # Gram product keeps that product from overflowing with a RuntimeWarning
+        entries = np.array([[1 / np.sqrt(2), 1 / np.sqrt(2)], row])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitaryError, match="magnitude"):
+                validate(entries, tol=1e-8)
 
     def test_first_row_snapped_exactly(self):
         noisy = rv.MATRIX_A.copy()
@@ -161,6 +179,15 @@ class TestGenerateRandom:
     def test_too_small(self):
         with pytest.raises(BadDimensionError):
             generate_random(1, seed=0)
+
+    @pytest.mark.parametrize("n", [MAX_N + 1, 10**19], ids=["over-limit", "past-index-range"])
+    def test_too_large_rejected_at_once(self, n):
+        start = time.perf_counter()
+        with pytest.raises(BadDimensionError, match=f"between 2 and {MAX_N}"):
+            generate_random(n, seed=0)
+        with pytest.raises(BadDimensionError):
+            constant_row(n)
+        assert time.perf_counter() - start < 1
 
 
 # every seeded draw in the package, as a function of the seed
