@@ -33,6 +33,8 @@ from .matrix import WalshMatrix, seeded_rng
 MAX_GRID = 2048
 #: most point pairs kernel_deviation samples: about 0.5 s and 200 MB
 MAX_SAMPLES = 10**6
+#: point pairs kernel_deviation evaluates at once, about 5 MB of temporaries
+_SAMPLE_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -192,12 +194,18 @@ def dirichlet_kernel(a: WalshMatrix, q: int, x: float, t: float):
 
 
 def grid_matrix(a: WalshMatrix, q: int) -> np.ndarray:
-    """Dense (N^q, N^q) matrix with entry [n, j] = W_n on cell j."""
-    width = _width(a.n, q, MAX_GRID)
-    # the Kronecker power's row digits run most significant first, n's least
-    # significant first: reverse the row axes of the (N,)*q view
-    power = reduce(np.kron, [scaled_rows(a)] * q).reshape((a.n,) * q + (width,))
-    return power.transpose(*range(q)[::-1], q).reshape(width, width)
+    """Dense (N^q, N^q) matrix with entry [n, j] = W_n on cell j.
+
+    It is the transposed view of a C-contiguous (cells, functions) running
+    outer product; each entry is the left-to-right digit product of a
+    Kronecker power of the m_i, bit for bit.
+    """
+    _width(a.n, q, MAX_GRID)
+    factor = scaled_rows(a).T  # [cell digit, digit of n]
+    cells = factor.copy()  # C-contiguous also at q = 1
+    for _ in range(q - 1):  # each step's cell digit is less significant, its digit of n more
+        cells = (cells[:, None, None, :] * factor[None, :, :, None]).reshape(len(cells) * a.n, -1)
+    return cells.T
 
 
 def gram_defect(a: WalshMatrix, q: int) -> float:
@@ -229,6 +237,10 @@ def kernel_deviation(a: WalshMatrix, q: int, samples: int = 1000, seed: int = 0)
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValidationError(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
     points = seeded_rng(seed).random((samples, 2))
-    cells = np.minimum((points * width).astype(np.int64), width - 1)
-    jx, jt = cells[:, [0, 1, 0, 0]].reshape(-1, 2).T  # each pair (x, t), then (x, x)
-    return float(np.abs(_kernel_product(a, q, jx, jt) / width - (jx == jt)).max())
+    worst = []
+    for start in range(0, samples, _SAMPLE_CHUNK):  # chunks bound the memory, not the max
+        chunk = points[start:start + _SAMPLE_CHUNK]
+        cells = np.minimum((chunk * width).astype(np.int64), width - 1)
+        jx, jt = cells[:, [0, 1, 0, 0]].reshape(-1, 2).T  # each pair (x, t), then (x, x)
+        worst.append(np.abs(_kernel_product(a, q, jx, jt) / width - (jx == jt)).max())
+    return float(np.max(worst))

@@ -9,10 +9,11 @@ that is, when the cross-Gram ``B[1:] A[1:]^H`` is Hermitian; the row
 check includes l = k, which binds only complex matrices.  This is
 equivalent to the same identity between their Walsh functions in L2[0,1],
 which :func:`pairing_check_basis` checks brute force: it analyses all of
-B's N^q Walsh functions on the grid by A's forward kernel in one batched
-butterfly pass, q N^(2q+1) multiplies.  For a companion pair, analysis
-by A and synthesis by B compose to the identity after two rounds, which
-carries a four-message exchange:
+B's N^q Walsh functions, read cell-major off the grid, by A's forward
+kernel in one batched butterfly pass, q N^(2q+1) multiplies, and scans
+the residual's upper triangle in row blocks.  For a companion pair,
+analysis by A and synthesis by B compose to the identity after two
+rounds, which carries a four-message exchange:
 
     w1 = analysis_A(f)    (Alice to Bob)
     w2 = synthesis_B(w1)  (Bob to Alice)
@@ -71,6 +72,7 @@ from .matrix import (
     validate,
 )
 from .transform import (
+    _BLOCK,
     CoefficientVector,
     Signal,
     _butterfly,
@@ -170,14 +172,14 @@ def pairing_check_rows(a: WalshMatrix, b: WalshMatrix, tol: float = 1e-8) -> Pai
 def _walsh_cross(a: WalshMatrix, b: WalshMatrix, q: int) -> np.ndarray:
     """[l, k] = <W_l of B, W_k of A> for all l, k < N^q, by one butterfly pass.
 
-    The columns of the (cells, N^q) array ``grid_matrix(b, q).T`` are B's
-    Walsh functions, and A's forward kernel analyses them all at once.  The
-    grid has at most MAX_GRID cells, one cache block, so the pass is single.
+    The columns of the C-contiguous (cells, N^q) array ``grid_matrix(b, q).T``
+    are B's Walsh functions, and A's forward kernel analyses them all at once.
+    The grid has at most MAX_GRID cells, one cache block, so the pass is single.
     """
-    gb = grid_matrix(b, q)
+    cells = grid_matrix(b, q).T
     kernel = np.conj(scaled_rows(a)) / a.n  # as in dwt_fast
     # the pass writes coefficient k of column l at [k, l]
-    return _butterfly(kernel, gb.T, a.n, q, inverse=False).reshape(gb.shape).T
+    return _butterfly(kernel, cells, a.n, q, inverse=False).reshape(cells.shape).T
 
 
 def pairing_check_basis(
@@ -188,16 +190,29 @@ def pairing_check_basis(
     All N^(2q) inner products come from one batched butterfly pass
     (:func:`_walsh_cross`): q N^(2q+1) multiplies, against N^(3q) for the
     product of two grid matrices.  ``count_multiplies`` does not count them.
+    The residual is scanned in row blocks of its upper triangle; the report
+    names its first row-major maximum (or NaN), as a whole-array argmax would.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
-    lhs = _walsh_cross(a, b, q)  # [l, k] = <W_l of B, W_k of A>
-    width = len(lhs)
-    # <W_l of A, W_k of B> = conj(<W_k of B, W_l of A>) = conj(lhs[k, l])
-    residuals = np.abs(lhs - lhs.conj().T)
-    flat = int(residuals.argmax())
-    worst_indices = (flat // width, flat % width)
-    worst = float(residuals.flat[flat])
+    x = _walsh_cross(a, b, q).T  # [k, l], C-contiguous
+    width = len(x)
+    rows = max(1, _BLOCK // width)
+    worst, worst_indices = -1.0, (0, 0)
+    # <W_l of A, W_k of B> = conj(<W_k of B, W_l of A>), so the residual at
+    # [l, k] is |x[k, l] - conj(x[l, k])|.  It is exactly symmetric: swapping
+    # k and l negates the real part of the difference and keeps its imaginary
+    # part, the same sum.  So the first row-major maximum lies on or above the
+    # diagonal, and a block's entries left of it repeat ones of earlier rows.
+    for i in range(0, width, rows):
+        block = np.abs(x[i:i + rows, i:] - np.conj(x[i:, i:i + rows].T))
+        flat = int(block.argmax())
+        value = float(block.flat[flat])
+        if not value <= worst:  # strictly larger, or the first NaN
+            row, col = divmod(flat, width - i)
+            worst, worst_indices = value, (i + row, i + col)
+            if value != value:
+                break
     return BasisPairingReport(holds=worst <= tol, worst_indices=worst_indices, worst_residual=worst)
 
 

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import time
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -32,7 +33,16 @@ from gwalsh import (
     walsh_eval,
     walsh_on_grid,
 )
-from gwalsh.basis import MAX_GRID, MAX_SAMPLES, cell_count, cell_of, digit_length, scaled_rows
+from gwalsh.basis import (
+    _SAMPLE_CHUNK,
+    MAX_GRID,
+    MAX_SAMPLES,
+    _kernel_product,
+    cell_count,
+    cell_of,
+    digit_length,
+    scaled_rows,
+)
 
 
 def dense_gram_defect(a, q):
@@ -40,6 +50,24 @@ def dense_gram_defect(a, q):
     m = grid_matrix(a, q)
     gram = (m @ m.conj().T) / a.n**q
     return float(np.abs(gram - np.eye(a.n**q)).max())
+
+
+def kron_grid_matrix(a, q):
+    """Oracle: the q-fold Kronecker power of the m_i, rows in n's digit order."""
+    width = a.n**q
+    # the Kronecker power's row digits run most significant first, n's least
+    # significant first: reverse the row axes of the (N,)*q view
+    power = reduce(np.kron, [scaled_rows(a)] * q).reshape((a.n,) * q + (width,))
+    return power.transpose(*range(q)[::-1], q).reshape(width, width)
+
+
+def unchunked_kernel_deviation(a, q, samples, seed):
+    """Oracle: kernel_deviation's formula on all sampled pairs at once."""
+    width = a.n**q
+    points = np.random.default_rng(seed).random((samples, 2))
+    cells = np.minimum((points * width).astype(np.int64), width - 1)
+    jx, jt = cells[:, [0, 1, 0, 0]].reshape(-1, 2).T
+    return float(np.abs(_kernel_product(a, q, jx, jt) / width - (jx == jt)).max())
 
 
 def kron_kernel(a, q, x, t):
@@ -241,6 +269,14 @@ class TestGridMatrix:
         for n in range(9):
             np.testing.assert_allclose(m[n], walsh_on_grid(matrix_a, n, 2), atol=1e-14)
 
+    @pytest.mark.parametrize("base,q", [(2, 1), (2, 11), (3, 6), (5, 4), (8, 3), (45, 2)])
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_bit_identical_to_kronecker_power(self, base, q, complex_entries):
+        a = generate_random(base, seed=q, complex_entries=complex_entries)
+        m = grid_matrix(a, q)
+        assert m.T.flags.c_contiguous  # the (cells, functions) array the pairing check reads
+        assert np.array_equal(m, kron_grid_matrix(a, q))
+
     def test_orthonormality_random_matrices(self):
         for base in (2, 3, 4, 5):
             for q in (1, 2, 3):
@@ -298,6 +334,25 @@ class TestDirichletKernel:
         expected = loop_kernel_deviation(matrix_b, q, samples, seed=q, kernel=dirichlet_kernel)
         assert kernel_deviation(matrix_b, q, samples=samples, seed=q) == pytest.approx(
             expected, rel=1e-12)
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_kernel_deviation_chunks_equal_one_pass(self, complex_entries):
+        a = generate_random(8, seed=1, complex_entries=complex_entries)
+        samples = 3 * _SAMPLE_CHUNK + 1234  # a partial last chunk
+        assert kernel_deviation(a, 6, samples=samples, seed=4) == unchunked_kernel_deviation(
+            a, 6, samples, seed=4)
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_kernel_deviation_memory_bounded(self, complex_entries):
+        # evaluated at once, 10^6 pairs take about 160 B each: a 150-190 MB peak
+        a = generate_random(8, seed=1, complex_entries=complex_entries)
+        tracemalloc.start()
+        try:
+            kernel_deviation(a, 6, samples=MAX_SAMPLES, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
 
     @pytest.mark.parametrize("base,q", [(3, 6), (5, 4), (8, 3)])
     def test_kernel_deviation_always_checks_the_same_cell(self, base, q):

@@ -22,6 +22,7 @@ from gwalsh import (
     NoRealSolutionError,
     Signal,
     ValidationError,
+    WalshMatrix,
     generate_random,
     grid_matrix,
     load_masked_system,
@@ -37,8 +38,10 @@ from gwalsh import (
     solve_companion_numeric,
     validate,
 )
+from gwalsh import protocol
 from gwalsh.basis import MAX_GRID
 from gwalsh.protocol import (
+    BasisPairingReport,
     _walsh_cross,
     masked_system_from_list,
     transcript_from_dict,
@@ -49,6 +52,15 @@ from gwalsh.transform import _digit_groups, count_multiplies, read_coefficients,
 # bound on the batched pass's distance from the dense product of the grid
 # matrices; measured at most 6.4e-15 on the twelve oracle cases below
 CROSS_BOUND = 3e-14
+
+
+def full_array_report(lhs, tol=1e-8):
+    """Oracle: the residual over the whole [l, k] cross matrix and its first argmax."""
+    residuals = np.abs(lhs - lhs.conj().T)
+    flat = int(residuals.argmax())
+    worst = float(residuals.flat[flat])
+    return BasisPairingReport(holds=worst <= tol, worst_indices=divmod(flat, len(lhs)),
+                              worst_residual=worst)
 
 
 def rotated_partner(a, angle):
@@ -263,6 +275,52 @@ class TestPairingBasis:
             # a companion's cross matrix is nearly Hermitian, so only a
             # non-companion pair tells [l, k] from [k, l]
             assert np.abs(dense - dense.T).max() > 100 * CROSS_BOUND
+
+    @pytest.mark.parametrize("n,q", [(3, 6), (5, 4), (8, 3), (2, 11)])
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("partner", ["companion", "random", "self"])
+    def test_blocked_scan_equals_full_array(self, n, q, complex_entries, partner):
+        a = generate_random(n, seed=1, complex_entries=complex_entries)
+        b = {"companion": lambda: solve_companion_numeric(a, seed=2),
+             "random": lambda: generate_random(n, seed=2, complex_entries=complex_entries),
+             "self": lambda: a}[partner]()  # b = a: the residual ties at many entries
+        assert pairing_check_basis(a, b, q) == full_array_report(_walsh_cross(a, b, q))
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n,q", [(3, 6), (8, 3)])
+    def test_residual_exactly_symmetric(self, n, q, complex_entries):
+        # the blocked scan reads only the upper triangle on this property
+        a = generate_random(n, seed=1, complex_entries=complex_entries)
+        b = generate_random(n, seed=2, complex_entries=complex_entries)
+        lhs = _walsh_cross(a, b, q)
+        residuals = np.abs(lhs - lhs.conj().T)
+        assert np.array_equal(residuals, residuals.T)
+
+    def test_nan_entry_fails_the_check(self):
+        a = generate_random(3, seed=1)
+        entries = a.entries.copy()
+        entries[2, 1] = np.nan
+        b = WalshMatrix(3, entries, a.tol)  # validate would reject it
+        report = pairing_check_basis(a, b, 4)
+        assert not report.holds
+        assert np.isnan(report.worst_residual)
+        assert report.worst_indices == full_array_report(_walsh_cross(a, b, 4)).worst_indices
+
+    @pytest.mark.parametrize(
+        "entries",
+        [{(3, 5): 1, (600, 700): 1}, {(3, 5): 1, (600, 650): 2},
+         {(3, 5): 1, (500, 700): np.nan, (600, 650): 2}, {(700, 20): np.nan}],
+        ids=["tie-across-blocks", "larger-later", "nan-later", "nan-below-diagonal"],
+    )
+    def test_scan_keeps_the_first_maximum(self, monkeypatch, entries):
+        # a 729 x 729 cross matrix spans many row blocks; each entry sets one
+        # residual pair [k, l], [l, k]
+        lhs = np.zeros((729, 729), dtype=complex)
+        for index, value in entries.items():
+            lhs[index] = value
+        monkeypatch.setattr(protocol, "_walsh_cross", lambda a, b, q: lhs)
+        a = generate_random(3, seed=1)
+        assert repr(pairing_check_basis(a, a, 6)) == repr(full_array_report(lhs))
 
     def test_every_checkable_grid_is_one_pass(self):
         for n in range(2, MAX_GRID + 1):
