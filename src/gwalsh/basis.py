@@ -198,13 +198,17 @@ def grid_matrix(a: WalshMatrix, q: int) -> np.ndarray:
 
     It is the transposed view of a C-contiguous (cells, functions) running
     outer product; each entry is the left-to-right digit product of a
-    Kronecker power of the m_i, bit for bit.
+    Kronecker power of the m_i, bit for bit.  Each step writes its product
+    in C order, so the reshape after it is a view: the only full-size array
+    is the result.
     """
     _width(a.n, q, MAX_GRID)
     factor = scaled_rows(a).T  # [cell digit, digit of n]
     cells = factor.copy()  # C-contiguous also at q = 1
     for _ in range(q - 1):  # each step's cell digit is less significant, its digit of n more
-        cells = (cells[:, None, None, :] * factor[None, :, :, None]).reshape(len(cells) * a.n, -1)
+        # numpy would lay the broadcast product out in its operands' stride order
+        step = np.multiply(cells[:, None, None, :], factor[None, :, :, None], order="C")
+        cells = step.reshape(len(cells) * a.n, -1)
     return cells.T
 
 

@@ -175,11 +175,14 @@ def _walsh_cross(a: WalshMatrix, b: WalshMatrix, q: int) -> np.ndarray:
     The columns of the C-contiguous (cells, N^q) array ``grid_matrix(b, q).T``
     are B's Walsh functions, and A's forward kernel analyses them all at once.
     The grid has at most MAX_GRID cells, one cache block, so the pass is single.
+    The grid is built here, so the pass writes its result over it: the check
+    holds one N^(2q) array, or two when a complex A analyses a real B.
     """
     cells = grid_matrix(b, q).T
     kernel = np.conj(scaled_rows(a)) / a.n  # as in dwt_fast
     # the pass writes coefficient k of column l at [k, l]
-    return _butterfly(kernel, cells, a.n, q, inverse=False).reshape(cells.shape).T
+    cross = _butterfly(kernel, cells, a.n, q, inverse=False, overwrite=True)
+    return cross.reshape(cells.shape).T
 
 
 def pairing_check_basis(
@@ -190,8 +193,10 @@ def pairing_check_basis(
     All N^(2q) inner products come from one batched butterfly pass
     (:func:`_walsh_cross`): q N^(2q+1) multiplies, against N^(3q) for the
     product of two grid matrices.  ``count_multiplies`` does not count them.
-    The residual is scanned in row blocks of its upper triangle; the report
-    names its first row-major maximum (or NaN), as a whole-array argmax would.
+    The residual is scanned in row blocks of its upper triangle, with one
+    block-sized temporary each; the report names its first row-major maximum
+    (or NaN), as a whole-array argmax would.  The cross matrix is the one
+    N^(2q) array the check makes.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
@@ -205,7 +210,9 @@ def pairing_check_basis(
     # part, the same sum.  So the first row-major maximum lies on or above the
     # diagonal, and a block's entries left of it repeat ones of earlier rows.
     for i in range(0, width, rows):
-        block = np.abs(x[i:i + rows, i:] - np.conj(x[i:, i:i + rows].T))
+        # one temporary per block: .conj() of a real array is a view, np.conj a copy
+        block = np.subtract(x[i:i + rows, i:], x[i:, i:i + rows].T.conj())
+        block = np.abs(block, out=block if block.dtype.kind == "f" else None)
         flat = int(block.argmax())
         value = float(block.flat[flat])
         if not value <= worst:  # strictly larger, or the first NaN

@@ -108,29 +108,46 @@ def partial_sum(a: WalshMatrix, s: Signal, k: int, q_eval: int) -> PartialSumRep
     resolution.  When k = N^q_eval the result is the exact cell average
     of the signal, bypassing the transform.
     """
-    if k < 1:
-        raise ValidationError(f"truncation k must be at least 1, got {k}")
-    needed = max(1, digit_length(k - 1, a.n))
-    if q_eval < needed:
-        raise ResolutionTooCoarseError(
-            f"q_eval={q_eval} too coarse: W_n with n < {k} need resolution {needed}"
-        )
-    if s.base == a.n and q_eval < s.q:
-        raise ResolutionTooCoarseError(
-            f"q_eval={q_eval} below the signal resolution {s.q}"
-        )
-    averaged = cell_average(s, q_eval, base=a.n)
-    if k == len(averaged):
-        values = averaged.values
-    else:
-        coeffs = dwt_fast(a, averaged).coeffs.copy()
-        coeffs[k:] = 0
-        values = idwt(a, CoefficientVector(base=a.n, q=q_eval, coeffs=coeffs)).values
-    sup, l1, l2 = _difference_norms(values, s.values)
-    return PartialSumReport(
-        k=k, base=a.n, q_eval=q_eval, values=values,
-        sup_error=sup, l1_error=l1, l2_error=l2,
-    )
+    return _partial_sums(a, s, [k], q_eval)[0]
+
+
+def _partial_sums(a: WalshMatrix, s: Signal, ks, q_eval: int) -> list[PartialSumReport]:
+    """:func:`partial_sum` for each k of the ascending ``ks``, from one analysis.
+
+    The signal is averaged at the first k and analysed at the first k below
+    N^q_eval; each such k is synthesized from a copy of the coefficients with
+    the tail zeroed.  The checks run per k in ascending order, so a bad k
+    raises as a call of :func:`partial_sum` per k would.
+    """
+    reports, averaged, coeffs = [], None, None
+    for k in ks:
+        if k < 1:
+            raise ValidationError(f"truncation k must be at least 1, got {k}")
+        needed = max(1, digit_length(k - 1, a.n))
+        if q_eval < needed:
+            raise ResolutionTooCoarseError(
+                f"q_eval={q_eval} too coarse: W_n with n < {k} need resolution {needed}"
+            )
+        if s.base == a.n and q_eval < s.q:
+            raise ResolutionTooCoarseError(
+                f"q_eval={q_eval} below the signal resolution {s.q}"
+            )
+        if averaged is None:
+            averaged = cell_average(s, q_eval, base=a.n)
+        if k == len(averaged):
+            values = averaged.values
+        else:
+            if coeffs is None:
+                coeffs = dwt_fast(a, averaged).coeffs
+            truncated = coeffs.copy()
+            truncated[k:] = 0
+            values = idwt(a, CoefficientVector(base=a.n, q=q_eval, coeffs=truncated)).values
+        sup, l1, l2 = _difference_norms(values, s.values)
+        reports.append(PartialSumReport(
+            k=k, base=a.n, q_eval=q_eval, values=values,
+            sup_error=sup, l1_error=l1, l2_error=l2,
+        ))
+    return reports
 
 
 def _eval_resolution(a: WalshMatrix, s: Signal, q: int) -> int:
@@ -180,9 +197,10 @@ def convergence_sweep(
 ) -> list[PartialSumReport]:
     """One :class:`PartialSumReport` per truncation, ordered by k ascending.
 
-    Purely observational for truncations that are not powers of N.
+    Purely observational for truncations that are not powers of N.  The
+    signal is analysed once for the whole sweep.
     """
-    return [partial_sum(a, s, int(k), q_eval) for k in sorted(set(int(k) for k in k_list))]
+    return _partial_sums(a, s, sorted(set(int(k) for k in k_list)), q_eval)
 
 
 def sweep_to_csv(reports: list[PartialSumReport]) -> str:

@@ -161,7 +161,7 @@ def _digit_groups(base: int, q: int) -> list[int]:
 
 
 def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
-               inverse: bool) -> np.ndarray:
+               inverse: bool, overwrite: bool = False) -> np.ndarray:
     """Apply the N x N kernel along each of the q digit axes and reverse the digit order.
 
     Forward runs the stages, then reverses; inverse reverses, then runs the
@@ -176,6 +176,12 @@ def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
     reversed order, so no pass reorders them.  The inverse mirrors this: it
     reverses a block's digits before the products, and its first pass reads
     its group from the trailing digits.
+
+    Every pass but the last forward one writes a fresh array.  The last
+    forward pass writes each block back over the columns it has just read
+    when its input belongs to the driver and has the result's dtype: the
+    first pass's output in a two-pass transform, or a C-contiguous ``data``
+    when ``overwrite`` is true.  Otherwise ``data`` is only read.
     """
     groups = _digit_groups(base, q)
     for i, m in enumerate(groups):
@@ -185,6 +191,7 @@ def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
         # a one-digit pass stays one full-array product, as unblocked: BLAS rounds
         # its blocks differently (at N = 65, 504 columns against 4225), not bit-identical
         cols = max(1, _BLOCK // lead) if m > 1 else rest
+        last = not inverse and i == len(groups) - 1
         out = None
         for j in range(0, rest, cols):
             blk = src[:, j:j + cols].reshape((base,) * m + (-1,))
@@ -192,9 +199,11 @@ def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
                 blk = blk.transpose(*range(m - 1, -1, -1), m)
             for _ in range(m):
                 blk = blk.reshape(base, -1).T @ kernel.T
-            if out is None:  # allocated before the products, exchanges ran ~15% slower
-                out = np.empty(data.size, dtype=blk.dtype)
-                last = not inverse and i == len(groups) - 1
+            if out is None:  # allocated after the products: exchanges ran ~15% slower the other way
+                if last and (overwrite or i > 0) and blk.dtype == data.dtype:
+                    out = data.reshape(-1)  # each block is read in full before it is written back
+                else:
+                    out = np.empty(data.size, dtype=blk.dtype)
                 dst = out.reshape(lead, rest).T if last else out.reshape(rest, lead)
                 dst = dst.reshape((rest,) + (base,) * m)
             blk = blk.reshape((-1,) + (base,) * m)

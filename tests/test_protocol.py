@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -39,7 +40,7 @@ from gwalsh import (
     validate,
 )
 from gwalsh import protocol
-from gwalsh.basis import MAX_GRID
+from gwalsh.basis import MAX_GRID, scaled_rows
 from gwalsh.protocol import (
     BasisPairingReport,
     _walsh_cross,
@@ -47,7 +48,13 @@ from gwalsh.protocol import (
     transcript_from_dict,
     transcript_to_dict,
 )
-from gwalsh.transform import _digit_groups, count_multiplies, read_coefficients, read_signal
+from gwalsh.transform import (
+    _butterfly,
+    _digit_groups,
+    count_multiplies,
+    read_coefficients,
+    read_signal,
+)
 
 # bound on the batched pass's distance from the dense product of the grid
 # matrices; measured at most 6.4e-15 on the twelve oracle cases below
@@ -328,6 +335,37 @@ class TestPairingBasis:
             while n**q <= MAX_GRID:
                 assert _digit_groups(n, q) == [q]
                 q += 1
+
+    @pytest.mark.parametrize("n,q", [(3, 6), (5, 4)])
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_check_holds_one_full_array(self, n, q, complex_entries):
+        # a grid step that copied on reshape and a fresh cross matrix made it about 2.1
+        a = generate_random(n, seed=1, complex_entries=complex_entries)
+        b = solve_companion_numeric(a, seed=2)
+        itemsize = np.dtype(complex if complex_entries else float).itemsize
+        tracemalloc.start()
+        try:
+            assert pairing_check_basis(a, b, q).holds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35 * n ** (2 * q) * itemsize
+
+    @pytest.mark.parametrize("n,q", [(3, 6), (5, 4)])
+    @pytest.mark.parametrize("complex_a,complex_b",
+                             [(False, False), (True, True), (True, False), (False, True)],
+                             ids=["real", "complex", "complex-a-real-b", "real-a-complex-b"])
+    def test_pass_over_the_grid_equals_a_fresh_output(self, n, q, complex_a, complex_b):
+        a = generate_random(n, seed=1, complex_entries=complex_a)
+        b = generate_random(n, seed=2, complex_entries=complex_b)
+        kernel = np.conj(scaled_rows(a)) / n
+        grid = grid_matrix(b, q).T
+        fresh = _butterfly(kernel, grid, n, q, inverse=False)
+        over = _butterfly(kernel, grid, n, q, inverse=False, overwrite=True)
+        assert np.array_equal(over, fresh)
+        # a complex A analyses a real B's grid into one fresh complex array
+        assert np.shares_memory(over, grid) == (complex_b or not complex_a)
+        assert np.array_equal(_walsh_cross(a, b, q), fresh.reshape(grid.shape).T)
 
     def test_check_adds_no_multiplies(self):
         a = generate_random(3, seed=1)

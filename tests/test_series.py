@@ -6,22 +6,50 @@ import pytest
 
 import reference_values as rv
 from gwalsh import (
+    CoefficientVector,
     IncompatibleGridsError,
     ResolutionTooCoarseError,
     Signal,
+    ValidationError,
     ZeroSignalError,
     cell_average,
     convergence_sweep,
+    count_multiplies,
+    dwt_fast,
     generate_random,
+    idwt,
+    load_matrix,
     martingale_check,
     norm_bound_check,
     partial_sum,
     random_signal,
     write_sweep_csv,
 )
+from gwalsh import series
+from gwalsh.cli import main
 from gwalsh.series import sweep_to_csv
+from gwalsh.transform import read_signal
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+README_K_LIST = [27, 36, 60, 81, 100, 200, 241, 300]
+
+
+def per_k_sweep(a, s, k_list, q_eval):
+    """Oracle: the sweep as one averaging and one analysis per truncation."""
+    reports = []
+    for k in sorted(set(k_list)):
+        averaged = cell_average(s, q_eval, base=a.n)
+        if k == len(averaged):
+            values = averaged.values
+        else:
+            coeffs = dwt_fast(a, averaged).coeffs.copy()
+            coeffs[k:] = 0
+            values = idwt(a, CoefficientVector(base=a.n, q=q_eval, coeffs=coeffs)).values
+        sup, l1, l2 = series._difference_norms(values, s.values)
+        reports.append(series.PartialSumReport(k, a.n, q_eval, values, sup, l1, l2))
+    return reports
 
 
 def _common_max_dev(u, base_u, v, base_v):
@@ -191,3 +219,52 @@ class TestConvergenceSweep:
         path = tmp_path / "sweep.csv"
         write_sweep_csv(reports, path)
         assert path.read_text() == text
+
+    def test_equals_one_analysis_per_truncation(self, matrix_a, signal_f, dyadic_step):
+        payload = json.loads((FIXTURES / "cross_base_sweep.json").read_text())
+        cases = [
+            (signal_f, README_K_LIST, 6),
+            (dyadic_step, [row["k"] for row in payload["rows"]], payload["q_eval"]),
+            (random_signal(3, 7, seed=5), [3**7, 1, 500, 3**7 - 1, 81], 7),
+        ]
+        for s, k_list, q_eval in cases:
+            got = convergence_sweep(matrix_a, s, k_list, q_eval)
+            want = per_k_sweep(matrix_a, s, k_list, q_eval)
+            assert sweep_to_csv(got) == sweep_to_csv(want)
+            for report, oracle in zip(got, want):
+                assert np.array_equal(report.values, oracle.values)
+
+    def test_readme_session_csv(self, tmp_path):
+        a_path, c_path, f_path, out = (str(tmp_path / name)
+                                       for name in ("A.json", "c.csv", "f.csv", "sweep.csv"))
+        assert main(["gen-matrix", "--entry", "0.4", "--row", "2", "--branch", "plus",
+                     "--out", a_path]) == 0
+        assert main(["encode", "--matrix", a_path, "--signal-inline",
+                     "000110000011111110002222222", "--out", c_path]) == 0
+        assert main(["decode", "--matrix", a_path, "--in", c_path, "--out", f_path]) == 0
+        assert main(["series", "--matrix", a_path, "--signal", f_path, "--k-list",
+                     ",".join(map(str, README_K_LIST)), "--out", out]) == 0
+        want = per_k_sweep(load_matrix(a_path), read_signal(f_path), README_K_LIST, 6)
+        assert Path(out).read_text() == sweep_to_csv(want)
+
+    @pytest.mark.parametrize("k_list,syntheses", [
+        (README_K_LIST, 8), ([1, 27, 729], 2), ([729, 728], 1), ([729], 0),
+    ])
+    def test_one_analysis_per_sweep(self, matrix_a, signal_f, k_list, syntheses):
+        # q_eval = 6: the truncation k = 3^6 is the cell average, no transform
+        with count_multiplies() as counter:
+            convergence_sweep(matrix_a, signal_f, k_list, 6)
+        analyses = 1 if syntheses else 0
+        assert counter.count == (analyses + syntheses) * 6 * 3**7
+
+    @pytest.mark.parametrize("k_list,q_eval,error,text", [
+        ([0, 5], 4, ValidationError, "at least 1, got 0"),
+        ([5, 100, 300], 4, ResolutionTooCoarseError, "n < 100 need resolution 5"),
+        # k = 5 fits q_eval = 2 but the signal does not; k = 100 fits neither
+        ([5, 100], 2, ResolutionTooCoarseError, "below the signal resolution 3"),
+    ])
+    def test_bad_truncation_raises_as_per_k(self, matrix_a, signal_f, k_list, q_eval, error,
+                                            text):
+        # the checks run per k in ascending order, as one partial_sum per k ran them
+        with pytest.raises(error, match=text):
+            convergence_sweep(matrix_a, signal_f, k_list, q_eval)

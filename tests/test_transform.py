@@ -442,6 +442,58 @@ class TestBlockedPasses:
                 assert np.array_equal(got, want) or (
                     complex_values and np.abs(got - want).max() <= bound * np.abs(want).max())
 
+    @pytest.mark.parametrize("inverse,fresh", [(False, 1), (True, 2)], ids=["forward", "inverse"])
+    def test_full_size_allocations(self, monkeypatch, inverse, fresh):
+        # the last forward pass writes over the first pass's output; every
+        # inverse pass, and the first forward one, writes a fresh array
+        a = generate_random(2, seed=1)
+        s = random_signal(2, 16, seed=2)
+        c = dwt_fast(a, s)
+        sizes = []
+        allocate = np.empty
+
+        def counting_empty(shape, *args, **kwargs):
+            sizes.append(shape)
+            return allocate(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", counting_empty)
+        if inverse:
+            idwt(a, c)
+        else:
+            dwt_fast(a, s)
+        assert transform._digit_groups(2, 16) == [12, 4]
+        assert sizes.count(len(s)) == fresh
+
+    @pytest.mark.parametrize("lead,block,base,q", [
+        (transform._LEAD, transform._BLOCK, 2, 16),
+        (4, 16, 2, 9), (9, 27, 3, 5), (16, 64, 4, 4), (2, 1, 5, 3),
+    ])
+    @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+    def test_inputs_never_overwritten(self, monkeypatch, lead, block, base, q, complex_values):
+        monkeypatch.setattr(transform, "_LEAD", lead)
+        monkeypatch.setattr(transform, "_BLOCK", block)
+        assert len(transform._digit_groups(base, q)) == 2
+        a = generate_random(base, seed=3, complex_entries=complex_values)
+        s = random_signal(base, q, seed=4, complex_values=complex_values)
+        signal_before = s.values.copy()
+        c = dwt_fast(a, s)
+        coeffs_before = c.coeffs.copy()
+        back = idwt(a, c)
+        assert np.array_equal(s.values, signal_before)
+        assert np.array_equal(c.coeffs, coeffs_before)
+        assert not np.shares_memory(c.coeffs, s.values)
+        assert not np.shares_memory(back.values, c.coeffs)
+
+    @pytest.mark.parametrize("base,q", [(3, 5), (2, 16)], ids=["one-pass", "two-pass"])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_direct_call_only_reads_data(self, base, q, inverse):
+        a = generate_random(base, seed=5, complex_entries=True)
+        data = random_signal(base, q, seed=6).values.copy()  # writable
+        before = data.copy()
+        out = transform._butterfly(scaled_rows(a).T, data, base, q, inverse=inverse)
+        assert np.array_equal(data, before)
+        assert not np.shares_memory(out, data)
+
 
 class TestSerialization:
     def test_signal_header(self, signal_f):
