@@ -74,10 +74,15 @@ def _common_cells(len_a: int, len_b: int) -> int:
     return cells
 
 
+def _refine(u: np.ndarray, cells: int) -> np.ndarray:
+    """u's values on a grid of ``cells`` cells, a multiple of len(u): u itself when it has as many."""
+    return u if len(u) == cells else np.repeat(u, cells // len(u))
+
+
 def _difference_norms(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
     """(sup, L1, L2) norms of u - v after refining both to the common grid."""
     cells = _common_cells(len(u), len(v))
-    diff = np.abs(np.repeat(u, cells // len(u)) - np.repeat(v, cells // len(v)))
+    diff = np.abs(_refine(u, cells) - _refine(v, cells))
     return (
         float(diff.max()),
         float(diff.mean()),
@@ -114,12 +119,13 @@ def partial_sum(a: WalshMatrix, s: Signal, k: int, q_eval: int) -> PartialSumRep
 def _partial_sums(a: WalshMatrix, s: Signal, ks, q_eval: int) -> list[PartialSumReport]:
     """:func:`partial_sum` for each k of the ascending ``ks``, from one analysis.
 
-    The signal is averaged at the first k and analysed at the first k below
-    N^q_eval; each such k is synthesized from a copy of the coefficients with
-    the tail zeroed.  The checks run per k in ascending order, so a bad k
-    raises as a call of :func:`partial_sum` per k would.
+    The signal is averaged and refined to the common grid at the first k and
+    analysed at the first k below N^q_eval; each such k is synthesized from a
+    copy of the coefficients with the tail zeroed.  The checks run per k in
+    ascending order, so a bad k raises as a call of :func:`partial_sum` per k
+    would.
     """
-    reports, averaged, coeffs = [], None, None
+    reports, averaged, refined, coeffs = [], None, None, None
     for k in ks:
         if k < 1:
             raise ValidationError(f"truncation k must be at least 1, got {k}")
@@ -134,6 +140,7 @@ def _partial_sums(a: WalshMatrix, s: Signal, ks, q_eval: int) -> list[PartialSum
             )
         if averaged is None:
             averaged = cell_average(s, q_eval, base=a.n)
+            refined = _refine(s.values, _common_cells(len(averaged), len(s)))
         if k == len(averaged):
             values = averaged.values
         else:
@@ -142,7 +149,7 @@ def _partial_sums(a: WalshMatrix, s: Signal, ks, q_eval: int) -> list[PartialSum
             truncated = coeffs.copy()
             truncated[k:] = 0
             values = idwt(a, CoefficientVector(base=a.n, q=q_eval, coeffs=truncated)).values
-        sup, l1, l2 = _difference_norms(values, s.values)
+        sup, l1, l2 = _difference_norms(values, refined)
         reports.append(PartialSumReport(
             k=k, base=a.n, q_eval=q_eval, values=values,
             sup_error=sup, l1_error=l1, l2_error=l2,

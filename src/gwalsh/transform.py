@@ -19,7 +19,10 @@ contracts leading digits over one cache-sized column block at a time,
 reverses the block's new digits while it is in cache, and writes the
 block out behind the digits still to come (the last forward pass writes
 it in front), so no pass ever reorders digit groups.  Below 2^15 cells
-the whole transform is one block.
+the whole transform is one block on the calling thread.  Beyond, each of
+the two passes splits its blocks, which share no output, into one share
+per usable CPU, each but the first on a thread joined before the pass
+ends; the products, and so the result, do not depend on the CPU count.
 
 The inverse transform synthesizes v_j = sum_n c_n * W_n(cell j) with the
 transposed stage structure.  For a unitary matrix this is the exact
@@ -29,6 +32,8 @@ is still the synthesis operator (no numerical matrix inversion).
 
 from __future__ import annotations
 
+import os
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -160,6 +165,53 @@ def _digit_groups(base: int, q: int) -> list[int]:
     return [m, q - m]
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _block(kernel: np.ndarray, src: np.ndarray, j: int, cols: int, base: int, m: int,
+           inverse: bool) -> np.ndarray:
+    """Columns j to j + cols of src through a pass's m stages, shaped as rows of its output."""
+    blk = src[:, j:j + cols].reshape((base,) * m + (-1,))
+    if inverse:
+        blk = blk.transpose(*range(m - 1, -1, -1), m)
+    for _ in range(m):
+        blk = blk.reshape(base, -1).T @ kernel.T
+    blk = blk.reshape((-1,) + (base,) * m)
+    return blk if inverse else blk.transpose(0, *range(m, 0, -1))
+
+
+def _run_shares(run, shares) -> None:
+    """Call ``run`` on each share: the first on this thread, each other on a new thread.
+
+    Every thread is joined before this returns or raises; a worker's
+    exception is raised here once all of them are joined.
+    """
+    errors = []
+
+    def work(share):
+        try:
+            run(share)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for share in shares[1:]:
+            threads.append(threading.Thread(target=work, args=(share,)))
+            threads[-1].start()
+        run(shares[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
                inverse: bool, overwrite: bool = False) -> np.ndarray:
     """Apply the N x N kernel along each of the q digit axes and reverse the digit order.
@@ -182,6 +234,16 @@ def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
     when its input belongs to the driver and has the result's dtype: the
     first pass's output in a two-pass transform, or a C-contiguous ``data``
     when ``overwrite`` is true.  Otherwise ``data`` is only read.
+
+    A block reads and writes only its own columns or rows, so each pass of
+    a two-pass transform can run its blocks on several CPUs.  The calling
+    thread runs the first block before any thread starts, because its
+    product fixes the output dtype and the output is allocated after it.
+    The other blocks are split into one contiguous share per usable CPU, at
+    most one per block: the calling thread runs the first share while a
+    thread started for the pass runs each other one, and joins them all.
+    A one-pass transform is one share on the calling thread, and so is a
+    pass with two blocks, whose second could only start after the first.
     """
     groups = _digit_groups(base, q)
     for i, m in enumerate(groups):
@@ -192,22 +254,24 @@ def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
         # its blocks differently (at N = 65, 504 columns against 4225), not bit-identical
         cols = max(1, _BLOCK // lead) if m > 1 else rest
         last = not inverse and i == len(groups) - 1
-        out = None
-        for j in range(0, rest, cols):
-            blk = src[:, j:j + cols].reshape((base,) * m + (-1,))
-            if inverse:
-                blk = blk.transpose(*range(m - 1, -1, -1), m)
-            for _ in range(m):
-                blk = blk.reshape(base, -1).T @ kernel.T
-            if out is None:  # allocated after the products: exchanges ran ~15% slower the other way
-                if last and (overwrite or i > 0) and blk.dtype == data.dtype:
-                    out = data.reshape(-1)  # each block is read in full before it is written back
-                else:
-                    out = np.empty(data.size, dtype=blk.dtype)
-                dst = out.reshape(lead, rest).T if last else out.reshape(rest, lead)
-                dst = dst.reshape((rest,) + (base,) * m)
-            blk = blk.reshape((-1,) + (base,) * m)
-            dst[j:j + cols] = blk if inverse else blk.transpose(0, *range(m, 0, -1))
+        blk = _block(kernel, src, 0, cols, base, m, inverse)
+        # allocated after the products: exchanges ran ~15% slower the other way
+        if last and (overwrite or i > 0) and blk.dtype == data.dtype:
+            out = data.reshape(-1)  # each block is read in full before it is written back
+        else:
+            out = np.empty(data.size, dtype=blk.dtype)
+        dst = out.reshape(lead, rest).T if last else out.reshape(rest, lead)
+        dst = dst.reshape((rest,) + (base,) * m)
+        dst[:cols] = blk
+
+        def run(share):
+            for j in share:
+                dst[j:j + cols] = _block(kernel, src, j, cols, base, m, inverse)
+
+        starts = range(cols, rest, cols)  # the blocks after the first
+        n = max(1, min(_usable_cpus(), len(starts))) if len(groups) > 1 else 1
+        _run_shares(run, [starts[k * len(starts) // n:(k + 1) * len(starts) // n]
+                          for k in range(n)])
         data = out
     return data
 

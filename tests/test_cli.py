@@ -662,3 +662,13 @@ class TestArgumentHandling:
         assert main(args + ["--out", str(first)]) == 0
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+def test_import_loads_no_executor_modules():
+    # concurrent.futures pulls in logging (about 11 ms of start-up); the
+    # transforms start plain threads instead
+    code = ("import sys, gwalsh.cli\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

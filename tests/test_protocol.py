@@ -39,7 +39,7 @@ from gwalsh import (
     solve_companion_numeric,
     validate,
 )
-from gwalsh import protocol
+from gwalsh import protocol, transform
 from gwalsh.basis import MAX_GRID, scaled_rows
 from gwalsh.protocol import (
     BasisPairingReport,
@@ -969,6 +969,19 @@ class TestConcurrentExchange:
                 return await asyncio.gather(*tasks)
 
         self._assert_same(asyncio.run(exchange_all()), serial)
+
+
+def test_one_pass_work_starts_no_thread(monkeypatch):
+    # 3^9 and (3, 6) grids are one pass each: serial whatever the CPU count
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-pass transform started a thread")
+
+    monkeypatch.setattr(transform, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    a = generate_random(3, seed=1)
+    b = solve_companion_numeric(a, seed=2)
+    assert run_exchange(a, b, random_signal(3, 9, seed=3)).max_error <= 1e-10
+    assert pairing_check_basis(a, b, 6).holds
 
 
 def test_import_loads_no_scipy():

@@ -47,7 +47,9 @@ def per_k_sweep(a, s, k_list, q_eval):
             coeffs = dwt_fast(a, averaged).coeffs.copy()
             coeffs[k:] = 0
             values = idwt(a, CoefficientVector(base=a.n, q=q_eval, coeffs=coeffs)).values
-        sup, l1, l2 = series._difference_norms(values, s.values)
+        cells = np.lcm(len(values), len(s))  # both refined per k
+        diff = np.abs(np.repeat(values, cells // len(values)) - np.repeat(s.values, cells // len(s)))
+        sup, l1, l2 = float(diff.max()), float(diff.mean()), float(np.sqrt((diff**2).mean()))
         reports.append(series.PartialSumReport(k, a.n, q_eval, values, sup, l1, l2))
     return reports
 

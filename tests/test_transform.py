@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -493,6 +494,122 @@ class TestBlockedPasses:
         out = transform._butterfly(scaled_rows(a).T, data, base, q, inverse=inverse)
         assert np.array_equal(data, before)
         assert not np.shares_memory(out, data)
+
+
+def _both_directions(a, s):
+    c = dwt_fast(a, s)
+    return c.coeffs, idwt(a, c).values
+
+
+@pytest.fixture()
+def started_threads(monkeypatch):
+    """Every thread started while the test runs, in start order."""
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recording)
+    return started
+
+
+class TestCpuShares:
+    """Each pass of a two-pass transform runs one contiguous share of its blocks per usable CPU."""
+
+    # threads started by a forward and an inverse transform on three CPUs: two per
+    # pass of at least four blocks; a pass of two blocks runs on the calling thread
+    @pytest.mark.parametrize("base,q,threads", [
+        (2, 16, 0), (2, 17, 8), (3, 11, 8), (4, 8, 0), (4, 9, 8), (16, 4, 0), (16, 5, 8),
+    ])
+    @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+    def test_bit_identical_to_one_share(self, monkeypatch, started_threads, base, q, threads,
+                                        complex_values):
+        a = generate_random(base, seed=base + q, complex_entries=complex_values)
+        s = random_signal(base, q, seed=q, complex_values=complex_values)
+        assert len(transform._digit_groups(base, q)) == 2
+        results, started = {}, {}
+        for cpus in (1, 3):
+            monkeypatch.setattr(transform, "_usable_cpus", lambda: cpus)
+            results[cpus] = _both_directions(a, s)
+            started[cpus] = len(started_threads)
+        assert started == {1: 0, 3: threads}
+        assert not any(t.is_alive() for t in started_threads)
+        for got, want in zip(results[3], results[1]):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lead,block", [(4, 16), (9, 27), (16, 64), (2, 1)])
+    @pytest.mark.parametrize("base,q", [(2, 9), (3, 5), (4, 4), (5, 3)])
+    def test_small_blocks_bit_identical(self, monkeypatch, started_threads, lead, block, base, q):
+        # the block constants of test_many_passes and test_inputs_never_overwritten:
+        # many blocks per pass, and a last forward pass that writes over the first's output
+        monkeypatch.setattr(transform, "_LEAD", lead)
+        monkeypatch.setattr(transform, "_BLOCK", block)
+        for complex_values in (False, True):
+            a = generate_random(base, seed=3, complex_entries=complex_values)
+            s = random_signal(base, q, seed=4, complex_values=complex_values)
+            signal_before = s.values.copy()
+            results = {}
+            for cpus in (1, 3):
+                monkeypatch.setattr(transform, "_usable_cpus", lambda: cpus)
+                results[cpus] = _both_directions(a, s)
+            assert np.array_equal(s.values, signal_before)
+            for got, want in zip(results[3], results[1]):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        assert not any(t.is_alive() for t in started_threads)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_error_raised_after_every_join(self, monkeypatch, started_threads, failing):
+        # 3^11 cells: six blocks per pass, the first and then three shares of five, two on threads
+        monkeypatch.setattr(transform, "_usable_cpus", lambda: 3)
+        a = generate_random(3, seed=1)
+        s = random_signal(3, 11, seed=2)
+        block = transform._block
+        caller = threading.current_thread()
+        lock, raised = threading.Lock(), []
+
+        def failing_block(kernel, src, j, *args):
+            worker = threading.current_thread() is not caller
+            with lock:  # the first worker block, or the caller's first after block 0
+                fail = not raised and (worker if failing == "worker" else j > 0 and not worker)
+                if fail:
+                    raised.append(j)
+            if fail:
+                raise RuntimeError("share failed")
+            if worker:
+                time.sleep(0.05)  # the other workers outlast the raise
+            return block(kernel, src, j, *args)
+
+        monkeypatch.setattr(transform, "_block", failing_block)
+        with count_multiplies() as counter:
+            with pytest.raises(RuntimeError, match="share failed"):
+                dwt_fast(a, s)
+        assert len(started_threads) == 2
+        assert not any(t.is_alive() for t in started_threads)
+        assert counter.count == 0
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a transform started a thread")
+
+        a = generate_random(2, seed=1)
+        s = random_signal(2, 17, seed=2)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(transform, "_usable_cpus", lambda: 1)
+        _both_directions(a, s)
+        monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
+        with pytest.raises(AssertionError, match="started a thread"):
+            dwt_fast(a, s)
+
+    def test_cpu_count_is_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(transform.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert transform._usable_cpus() == 3
+        monkeypatch.delattr(transform.os, "sched_getaffinity")
+        monkeypatch.setattr(transform.os, "cpu_count", lambda: None)
+        assert transform._usable_cpus() == 1
 
 
 class TestSerialization:
