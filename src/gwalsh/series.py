@@ -97,12 +97,16 @@ def cell_average(s: Signal, q_target: int, base: int | None = None) -> Signal:
     cell algebra.  The target base defaults to the signal's own; a
     different base triggers exact refinement to the common grid.
     """
-    base = s.base if base is None else base
+    return _average_and_refine(s, q_target, s.base if base is None else base)[0]
+
+
+def _average_and_refine(s: Signal, q_target: int, base: int) -> tuple[Signal, np.ndarray]:
+    """:func:`cell_average`, and s's values on the common grid it averaged over."""
     target_len = cell_count(base, q_target, MAX_COMMON_CELLS)
     cells = _common_cells(len(s), target_len)
-    refined = np.repeat(s.values, cells // len(s))
+    refined = _refine(s.values, cells)
     averaged = refined.reshape(target_len, cells // target_len).mean(axis=1)
-    return Signal(base=base, q=q_target, values=averaged)
+    return Signal(base=base, q=q_target, values=averaged), refined
 
 
 def partial_sum(a: WalshMatrix, s: Signal, k: int, q_eval: int) -> PartialSumReport:
@@ -139,8 +143,7 @@ def _partial_sums(a: WalshMatrix, s: Signal, ks, q_eval: int) -> list[PartialSum
                 f"q_eval={q_eval} below the signal resolution {s.q}"
             )
         if averaged is None:
-            averaged = cell_average(s, q_eval, base=a.n)
-            refined = _refine(s.values, _common_cells(len(averaged), len(s)))
+            averaged, refined = _average_and_refine(s, q_eval, a.n)
         if k == len(averaged):
             values = averaged.values
         else:

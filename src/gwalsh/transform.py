@@ -19,10 +19,11 @@ contracts leading digits over one cache-sized column block at a time,
 reverses the block's new digits while it is in cache, and writes the
 block out behind the digits still to come (the last forward pass writes
 it in front), so no pass ever reorders digit groups.  Below 2^15 cells
-the whole transform is one block on the calling thread.  Beyond, each of
-the two passes splits its blocks, which share no output, into one share
-per usable CPU, each but the first on a thread joined before the pass
-ends; the products, and so the result, do not depend on the CPU count.
+the whole transform is one block on the calling thread.  A pass of at
+least 32 blocks (about 2^20 cells and more) splits the blocks after its
+first, which share no output, into two shares when the process may use
+two CPUs: the second runs on a thread joined before the pass ends.  The
+products, and so the result, do not depend on the CPU count.
 
 The inverse transform synthesizes v_j = sum_n c_n * W_n(cell j) with the
 transposed stage structure.  For a unitary matrix this is the exact
@@ -155,6 +156,12 @@ def dwt_naive(a: WalshMatrix, s: Signal) -> CoefficientVector:
 # and the reversal of its new digits run while the block is in cache.
 _LEAD = 4096
 _BLOCK = 2**15
+# A pass splits its blocks between CPUs only when it has at least _SPLIT_BLOCKS
+# of them, into at most _SHARES shares.  Measured on two CPUs, in alternating
+# fresh processes: two shares won 10 of 10 pairs at the 1M-cell sizes (32 to 53
+# blocks per pass), and 5 to 7 of 10 at 2^17, 2^18, 2^19 and 3^11 (4 to 16).
+_SPLIT_BLOCKS = 32
+_SHARES = 2
 
 
 def _digit_groups(base: int, q: int) -> list[int]:
@@ -188,8 +195,10 @@ def _block(kernel: np.ndarray, src: np.ndarray, j: int, cols: int, base: int, m:
 def _run_shares(run, shares) -> None:
     """Call ``run`` on each share: the first on this thread, each other on a new thread.
 
-    Every thread is joined before this returns or raises; a worker's
-    exception is raised here once all of them are joined.
+    A share whose thread cannot start (no threads left, or the interpreter
+    shutting down) runs on this thread, as do the ones after it.  Every
+    thread is joined before this returns or raises; a worker's exception
+    is raised here once all of them are joined.
     """
     errors = []
 
@@ -199,12 +208,18 @@ def _run_shares(run, shares) -> None:
         except BaseException as exc:
             errors.append(exc)
 
-    threads = []
+    threads, here = [], shares[:1]
     try:
-        for share in shares[1:]:
-            threads.append(threading.Thread(target=work, args=(share,)))
-            threads[-1].start()
-        run(shares[0])
+        for k in range(1, len(shares)):
+            thread = threading.Thread(target=work, args=(shares[k],))
+            try:
+                thread.start()
+            except RuntimeError:
+                here = here + shares[k:]
+                break
+            threads.append(thread)
+        for share in here:
+            run(share)
     finally:
         for thread in threads:
             thread.join()
@@ -235,15 +250,15 @@ def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
     first pass's output in a two-pass transform, or a C-contiguous ``data``
     when ``overwrite`` is true.  Otherwise ``data`` is only read.
 
-    A block reads and writes only its own columns or rows, so each pass of
-    a two-pass transform can run its blocks on several CPUs.  The calling
-    thread runs the first block before any thread starts, because its
-    product fixes the output dtype and the output is allocated after it.
-    The other blocks are split into one contiguous share per usable CPU, at
-    most one per block: the calling thread runs the first share while a
-    thread started for the pass runs each other one, and joins them all.
-    A one-pass transform is one share on the calling thread, and so is a
-    pass with two blocks, whose second could only start after the first.
+    A block reads and writes only its own columns or rows, so a pass can
+    run its blocks on several CPUs.  The calling thread runs the first
+    block before any thread starts, because its product fixes the output
+    dtype and the output is allocated after it.  A pass of at least
+    ``_SPLIT_BLOCKS`` blocks splits the others into one contiguous share
+    per usable CPU, at most ``_SHARES``: the calling thread runs the first
+    share while a thread started for the pass runs each other one, and
+    joins them all.  Smaller passes, and so every one-pass transform, run
+    as one share on the calling thread.
     """
     groups = _digit_groups(base, q)
     for i, m in enumerate(groups):
@@ -269,7 +284,7 @@ def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
                 dst[j:j + cols] = _block(kernel, src, j, cols, base, m, inverse)
 
         starts = range(cols, rest, cols)  # the blocks after the first
-        n = max(1, min(_usable_cpus(), len(starts))) if len(groups) > 1 else 1
+        n = min(_SHARES, _usable_cpus(), len(starts)) if 1 + len(starts) >= _SPLIT_BLOCKS else 1
         _run_shares(run, [starts[k * len(starts) // n:(k + 1) * len(starts) // n]
                           for k in range(n)])
         data = out

@@ -516,12 +516,13 @@ def started_threads(monkeypatch):
 
 
 class TestCpuShares:
-    """Each pass of a two-pass transform runs one contiguous share of its blocks per usable CPU."""
+    """A pass of many blocks runs one contiguous share of them per usable CPU, at most two."""
 
-    # threads started by a forward and an inverse transform on three CPUs: two per
-    # pass of at least four blocks; a pass of two blocks runs on the calling thread
+    # threads started by a forward and an inverse transform on 64 CPUs: one per pass
+    # of at least 32 blocks (the 1M-cell sizes); smaller passes run on the calling thread
     @pytest.mark.parametrize("base,q,threads", [
-        (2, 16, 0), (2, 17, 8), (3, 11, 8), (4, 8, 0), (4, 9, 8), (16, 4, 0), (16, 5, 8),
+        (2, 16, 0), (2, 17, 0), (2, 19, 0), (3, 11, 0), (3, 12, 0), (4, 9, 0), (16, 4, 0),
+        (2, 20, 4), (3, 13, 4), (4, 10, 4), (16, 5, 4),
     ])
     @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
     def test_bit_identical_to_one_share(self, monkeypatch, started_threads, base, q, threads,
@@ -530,13 +531,13 @@ class TestCpuShares:
         s = random_signal(base, q, seed=q, complex_values=complex_values)
         assert len(transform._digit_groups(base, q)) == 2
         results, started = {}, {}
-        for cpus in (1, 3):
+        for cpus in (1, 64):
             monkeypatch.setattr(transform, "_usable_cpus", lambda: cpus)
             results[cpus] = _both_directions(a, s)
             started[cpus] = len(started_threads)
-        assert started == {1: 0, 3: threads}
+        assert started == {1: 0, 64: threads}
         assert not any(t.is_alive() for t in started_threads)
-        for got, want in zip(results[3], results[1]):
+        for got, want in zip(results[64], results[1]):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -544,9 +545,12 @@ class TestCpuShares:
     @pytest.mark.parametrize("base,q", [(2, 9), (3, 5), (4, 4), (5, 3)])
     def test_small_blocks_bit_identical(self, monkeypatch, started_threads, lead, block, base, q):
         # the block constants of test_many_passes and test_inputs_never_overwritten:
-        # many blocks per pass, and a last forward pass that writes over the first's output
+        # many blocks per pass, and a last forward pass that writes over the first's
+        # output; every pass of two blocks or more splits, into up to three shares
         monkeypatch.setattr(transform, "_LEAD", lead)
         monkeypatch.setattr(transform, "_BLOCK", block)
+        monkeypatch.setattr(transform, "_SPLIT_BLOCKS", 2)
+        monkeypatch.setattr(transform, "_SHARES", 3)
         for complex_values in (False, True):
             a = generate_random(base, seed=3, complex_entries=complex_values)
             s = random_signal(base, q, seed=4, complex_values=complex_values)
@@ -564,6 +568,8 @@ class TestCpuShares:
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_error_raised_after_every_join(self, monkeypatch, started_threads, failing):
         # 3^11 cells: six blocks per pass, the first and then three shares of five, two on threads
+        monkeypatch.setattr(transform, "_SPLIT_BLOCKS", 2)
+        monkeypatch.setattr(transform, "_SHARES", 3)
         monkeypatch.setattr(transform, "_usable_cpus", lambda: 3)
         a = generate_random(3, seed=1)
         s = random_signal(3, 11, seed=2)
@@ -591,12 +597,57 @@ class TestCpuShares:
         assert not any(t.is_alive() for t in started_threads)
         assert counter.count == 0
 
+    @pytest.mark.parametrize("starts", [0, 1, 2])
+    def test_share_without_a_thread_runs_on_the_caller(self, monkeypatch, starts):
+        # the thread after the first `starts` cannot start: its share and the later
+        # ones run on the calling thread, and the threads that did start are joined
+        attempts, started = [], []
+
+        class Limited(threading.Thread):
+            def start(self):
+                attempts.append(self)
+                if len(started) == starts:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Limited)
+        caller = threading.current_thread()
+        lock, ran = threading.Lock(), {}
+
+        def run(share):
+            time.sleep(0.02)
+            with lock:
+                ran[share] = threading.current_thread() is caller
+
+        transform._run_shares(run, [0, 1, 2, 3])
+        assert len(attempts) == starts + 1
+        assert not any(t.is_alive() for t in started)
+        assert ran == {k: k == 0 or k > starts for k in range(4)}
+
+    def test_transform_without_threads_is_bit_identical(self, monkeypatch):
+        class Unstartable(threading.Thread):
+            def start(self):
+                raise RuntimeError("can't start new thread")
+
+        a = generate_random(2, seed=1)
+        s = random_signal(2, 20, seed=2)
+        monkeypatch.setattr(transform, "_usable_cpus", lambda: 1)
+        want = _both_directions(a, s)
+        monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(threading, "Thread", Unstartable)
+        with count_multiplies() as counter:
+            got = _both_directions(a, s)
+        assert counter.count == 2 * 20 * 2**21
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):
             raise AssertionError("a transform started a thread")
 
         a = generate_random(2, seed=1)
-        s = random_signal(2, 17, seed=2)
+        s = random_signal(2, 20, seed=2)
         monkeypatch.setattr(threading, "Thread", no_thread)
         monkeypatch.setattr(transform, "_usable_cpus", lambda: 1)
         _both_directions(a, s)
