@@ -145,14 +145,17 @@ def generate_n3(a: float, row_choice: str = "second", branch: str = "plus") -> W
     The remaining two entries of the chosen row solve the unit-norm and
     zero-sum constraints (a quadratic; ``branch`` picks the root).  The
     other non-constant row is the right-handed cross-product completion,
-    which is the unique unit completion up to sign.  Requires
-    |a| <= sqrt(2/3); outside that the quadratic has no real root.
+    which is the unique unit completion up to sign.  Requires a finite
+    |a| <= sqrt(2/3) (:class:`ValidationError` for NaN or inf); outside
+    that the quadratic has no real root (:class:`OutOfRangeError`).
     """
     if row_choice not in ROW_CHOICES:
         raise ValidationError(f"row_choice must be one of {ROW_CHOICES}, got {row_choice!r}")
     if branch not in BRANCHES:
         raise ValidationError(f"branch must be one of {BRANCHES}, got {branch!r}")
     a = float(a)
+    if not math.isfinite(a):
+        raise ValidationError(f"the leading entry must be finite, got a={a!r}")
     disc = 2.0 - 3.0 * a * a
     if disc < -1e-12:
         raise OutOfRangeError(

@@ -83,7 +83,7 @@ from .transform import (
     signal_from_text,
     signal_to_text,
 )
-from .basis import grid_matrix, scaled_rows
+from .basis import grid_matrix
 
 #: row pairing residual above which run_exchange flags the pairing as violated
 PAIRING_TOL = 1e-7
@@ -179,9 +179,8 @@ def _walsh_cross(a: WalshMatrix, b: WalshMatrix, q: int) -> np.ndarray:
     holds one N^(2q) array, or two when a complex A analyses a real B.
     """
     cells = grid_matrix(b, q).T
-    kernel = np.conj(scaled_rows(a)) / a.n  # as in dwt_fast
     # the pass writes coefficient k of column l at [k, l]
-    cross = _butterfly(kernel, cells, a.n, q, inverse=False, overwrite=True)
+    cross = _butterfly(a, cells, q, inverse=False, overwrite=True)
     return cross.reshape(cells.shape).T
 
 
@@ -243,7 +242,8 @@ def solve_companion(a: WalshMatrix, r: float, branch: str = "plus") -> WalshMatr
     picks the intersection) exactly when r^2 <= u[2]^2 + w[2]^2, which is
     2/3 for every valid A (A's last column is a unit vector starting with
     1/sqrt(3)).  Outside |r| <= sqrt(2/3) it raises
-    :class:`NoRealSolutionError`, whose message states the bound.
+    :class:`NoRealSolutionError`, whose message states the bound; a NaN or
+    infinite r raises :class:`ValidationError`.
     """
     if a.n != 3:
         raise ValidationError(f"closed-form companion solve requires n=3, got n={a.n}")
@@ -251,6 +251,8 @@ def solve_companion(a: WalshMatrix, r: float, branch: str = "plus") -> WalshMatr
         raise ValidationError(f"branch must be one of {BRANCHES}, got {branch!r}")
     entries = _real_rows(a)
     r = float(r)
+    if not math.isfinite(r):
+        raise ValidationError(f"r must be finite, got r={r!r}")
     u, w = entries[1], entries[2]
     u2, w2 = float(u[2]), float(w[2])
     radius_sq = u2 * u2 + w2 * w2
@@ -273,7 +275,6 @@ def solve_companion(a: WalshMatrix, r: float, branch: str = "plus") -> WalshMatr
     c = -r * w2 / radius_sq + t * u2 / radius
     row1 = c * u + s * w
     row2 = s * u - c * w
-    row2 = row2.copy()
     row2[2] = r  # the family is indexed by r; pin the entry exactly
     return validate(
         np.vstack([constant_row(3), row1, row2]),

@@ -21,9 +21,9 @@ block out behind the digits still to come (the last forward pass writes
 it in front), so no pass ever reorders digit groups.  Below 2^15 cells
 the whole transform is one block on the calling thread.  A pass of at
 least 32 blocks (about 2^20 cells and more) splits the blocks after its
-first, which share no output, into two shares when the process may use
-two CPUs: the second runs on a thread joined before the pass ends.  The
-products, and so the result, do not depend on the CPU count.
+first, which share no output, into two halves when the process may use
+two CPUs: the second half runs on a thread joined before the pass ends.
+The products, and so the result, do not depend on the CPU count.
 
 The inverse transform synthesizes v_j = sum_n c_n * W_n(cell j) with the
 transposed stage structure.  For a unitary matrix this is the exact
@@ -156,12 +156,11 @@ def dwt_naive(a: WalshMatrix, s: Signal) -> CoefficientVector:
 # and the reversal of its new digits run while the block is in cache.
 _LEAD = 4096
 _BLOCK = 2**15
-# A pass splits its blocks between CPUs only when it has at least _SPLIT_BLOCKS
-# of them, into at most _SHARES shares.  Measured on two CPUs, in alternating
-# fresh processes: two shares won 10 of 10 pairs at the 1M-cell sizes (32 to 53
-# blocks per pass), and 5 to 7 of 10 at 2^17, 2^18, 2^19 and 3^11 (4 to 16).
+# A pass splits its blocks into two halves only when it has at least
+# _SPLIT_BLOCKS of them.  Measured on two CPUs, in alternating fresh processes:
+# two halves won 10 of 10 pairs at the 1M-cell sizes (32 to 53 blocks per
+# pass), and 5 to 7 of 10 at 2^17, 2^18, 2^19 and 3^11 (4 to 16).
 _SPLIT_BLOCKS = 32
-_SHARES = 2
 
 
 def _digit_groups(base: int, q: int) -> list[int]:
@@ -192,44 +191,38 @@ def _block(kernel: np.ndarray, src: np.ndarray, j: int, cols: int, base: int, m:
     return blk if inverse else blk.transpose(0, *range(m, 0, -1))
 
 
-def _run_shares(run, shares) -> None:
-    """Call ``run`` on each share: the first on this thread, each other on a new thread.
+def _run_halves(run, starts) -> None:
+    """Call ``run`` on the first half of ``starts`` here, and on the second on a new thread.
 
-    A share whose thread cannot start (no threads left, or the interpreter
-    shutting down) runs on this thread, as do the ones after it.  Every
-    thread is joined before this returns or raises; a worker's exception
-    is raised here once all of them are joined.
+    If the thread cannot start (no threads left, or the interpreter shutting
+    down), this thread runs both halves.  The thread is joined before this
+    returns or raises; its exception is raised here after the join.
     """
+    half = len(starts) // 2
     errors = []
 
-    def work(share):
+    def work():
         try:
-            run(share)
+            run(starts[half:])
         except BaseException as exc:
             errors.append(exc)
 
-    threads, here = [], shares[:1]
+    thread = threading.Thread(target=work)
     try:
-        for k in range(1, len(shares)):
-            thread = threading.Thread(target=work, args=(shares[k],))
-            try:
-                thread.start()
-            except RuntimeError:
-                here = here + shares[k:]
-                break
-            threads.append(thread)
-        for share in here:
-            run(share)
+        thread.start()
+    except RuntimeError:
+        return run(starts)
+    try:
+        run(starts[:half])
     finally:
-        for thread in threads:
-            thread.join()
+        thread.join()
     if errors:
         raise errors[0]
 
 
-def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
-               inverse: bool, overwrite: bool = False) -> np.ndarray:
-    """Apply the N x N kernel along each of the q digit axes and reverse the digit order.
+def _butterfly(a: WalshMatrix, data: np.ndarray, q: int, inverse: bool,
+               overwrite: bool = False) -> np.ndarray:
+    """Apply A's N x N kernel along each of the q digit axes and reverse the digit order.
 
     Forward runs the stages, then reverses; inverse reverses, then runs the
     stages.  Every value goes through the same products, in the same order,
@@ -250,16 +243,16 @@ def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
     first pass's output in a two-pass transform, or a C-contiguous ``data``
     when ``overwrite`` is true.  Otherwise ``data`` is only read.
 
-    A block reads and writes only its own columns or rows, so a pass can
-    run its blocks on several CPUs.  The calling thread runs the first
-    block before any thread starts, because its product fixes the output
+    A block reads and writes only its own columns or rows.  The calling
+    thread runs the first block alone, because its product fixes the output
     dtype and the output is allocated after it.  A pass of at least
-    ``_SPLIT_BLOCKS`` blocks splits the others into one contiguous share
-    per usable CPU, at most ``_SHARES``: the calling thread runs the first
-    share while a thread started for the pass runs each other one, and
-    joins them all.  Smaller passes, and so every one-pass transform, run
-    as one share on the calling thread.
+    ``_SPLIT_BLOCKS`` blocks, when the process may use two CPUs, splits the
+    others into two halves (``_run_halves``); any other pass, and so every
+    one-pass transform, runs them all on the calling thread.
     """
+    base = a.n
+    # analysis by conj(sqrt(N) A) / N, row 0 exactly 1/N; synthesis by (sqrt(N) A)^T
+    kernel = scaled_rows(a).T if inverse else np.conj(scaled_rows(a)) / base
     groups = _digit_groups(base, q)
     for i, m in enumerate(groups):
         lead = base**m
@@ -279,14 +272,15 @@ def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
         dst = dst.reshape((rest,) + (base,) * m)
         dst[:cols] = blk
 
-        def run(share):
-            for j in share:
+        def run(blocks):
+            for j in blocks:
                 dst[j:j + cols] = _block(kernel, src, j, cols, base, m, inverse)
 
         starts = range(cols, rest, cols)  # the blocks after the first
-        n = min(_SHARES, _usable_cpus(), len(starts)) if 1 + len(starts) >= _SPLIT_BLOCKS else 1
-        _run_shares(run, [starts[k * len(starts) // n:(k + 1) * len(starts) // n]
-                          for k in range(n)])
+        if 1 + len(starts) >= _SPLIT_BLOCKS and _usable_cpus() > 1:
+            _run_halves(run, starts)
+        else:
+            run(starts)
         data = out
     return data
 
@@ -294,8 +288,7 @@ def _butterfly(kernel: np.ndarray, data: np.ndarray, base: int, q: int,
 def dwt_fast(a: WalshMatrix, s: Signal) -> CoefficientVector:
     """Radix-N butterfly transform; same contract as :func:`dwt_naive`."""
     _check_base(a, s.base)
-    kernel = np.conj(scaled_rows(a)) / a.n  # row 0 is exactly 1/N
-    coeffs = _butterfly(kernel, s.values, s.base, s.q, inverse=False)
+    coeffs = _butterfly(a, s.values, s.q, inverse=False)
     _tally(s.base, s.q)
     return CoefficientVector(base=s.base, q=s.q, coeffs=coeffs)
 
@@ -303,8 +296,7 @@ def dwt_fast(a: WalshMatrix, s: Signal) -> CoefficientVector:
 def idwt(a: WalshMatrix, c: CoefficientVector) -> Signal:
     """Synthesize the signal with cell values sum_n c_n * W_n(cell j)."""
     _check_base(a, c.base)
-    kernel = scaled_rows(a).T  # column 0 is exactly 1
-    values = _butterfly(kernel, c.coeffs, c.base, c.q, inverse=True)
+    values = _butterfly(a, c.coeffs, c.q, inverse=True)
     _tally(c.base, c.q)
     return Signal(base=c.base, q=c.q, values=values)
 

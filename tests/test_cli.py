@@ -580,6 +580,27 @@ class TestArgumentHandling:
         assert err.startswith("ValidationError: seed must be a non-negative integer")
         assert err.count("\n") == 1
 
+    # NaN and inf are input errors, not numeric failures; "--r=-inf" keeps
+    # argparse from reading "-inf" as a flag
+    @pytest.mark.parametrize("argv", [
+        ["gen-matrix", "--entry", "nan"],
+        ["gen-matrix", "--entry", "inf"],
+        ["gen-matrix", "--entry=-inf"],
+        ["solve-b", "--matrix", "{A}", "--r", "nan"],
+        ["solve-b", "--matrix", "{A}", "--r=-inf"],
+        ["exchange", "--matrix", "{A}", "--r", "nan", "--signal", "{f}"],
+        ["exchange", "--matrix", "{A}", "--r", "inf", "--signal", "{f}"],
+    ], ids=["entry-nan", "entry-inf", "entry-minus-inf", "solve-b-nan", "solve-b-minus-inf",
+            "exchange-nan", "exchange-inf"])
+    def test_non_finite_flag_rejected(self, tmp_path, matrix_a_file, signal_file, capsys, argv):
+        out = tmp_path / "out"
+        paths = {"A": matrix_a_file, "f": signal_file}
+        assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("ValidationError: ") and "must be finite" in err
+        assert err.count("\n") == 1
+
     # sizes are bounded (matrix.MAX_N, basis.MAX_SAMPLES) before anything is
     # allocated: 10^17 values would not fit a 57-bit address space, past 2^63
     # bytes numpy's index type overflows, and n = MAX_N + 1 would run Gram-Schmidt

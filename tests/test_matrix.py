@@ -131,6 +131,11 @@ class TestGenerateN3:
         with pytest.raises(OutOfRangeError):
             generate_n3(1.0)
 
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_is_a_validation_error(self, a):
+        with pytest.raises(ValidationError, match="must be finite"):
+            generate_n3(a)
+
     def test_bad_choices(self):
         with pytest.raises(ValidationError):
             generate_n3(0.1, row_choice="fourth")

@@ -40,7 +40,7 @@ from gwalsh import (
     validate,
 )
 from gwalsh import protocol, transform
-from gwalsh.basis import MAX_GRID, scaled_rows
+from gwalsh.basis import MAX_GRID
 from gwalsh.protocol import (
     BasisPairingReport,
     _walsh_cross,
@@ -358,10 +358,9 @@ class TestPairingBasis:
     def test_pass_over_the_grid_equals_a_fresh_output(self, n, q, complex_a, complex_b):
         a = generate_random(n, seed=1, complex_entries=complex_a)
         b = generate_random(n, seed=2, complex_entries=complex_b)
-        kernel = np.conj(scaled_rows(a)) / n
         grid = grid_matrix(b, q).T
-        fresh = _butterfly(kernel, grid, n, q, inverse=False)
-        over = _butterfly(kernel, grid, n, q, inverse=False, overwrite=True)
+        fresh = _butterfly(a, grid, q, inverse=False)
+        over = _butterfly(a, grid, q, inverse=False, overwrite=True)
         assert np.array_equal(over, fresh)
         # a complex A analyses a real B's grid into one fresh complex array
         assert np.shares_memory(over, grid) == (complex_b or not complex_a)
@@ -406,6 +405,11 @@ class TestSolveCompanion:
             solve_companion(matrix_a, 0.9)
         with pytest.raises(NoRealSolutionError):
             solve_companion(matrix_a, -0.8165)  # just past -sqrt(2/3) = -0.81649658...
+
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_r_is_a_validation_error(self, matrix_a, r):
+        with pytest.raises(ValidationError, match="must be finite"):
+            solve_companion(matrix_a, r)
 
     def test_arbitrary_base_matrices(self):
         rng = np.random.default_rng(9)

@@ -209,10 +209,9 @@ class TestMultiplyCount:
         # (cells, batch) array, one signal per column, counts nothing
         a = generate_random(3, seed=1)
         signals = [random_signal(3, 6, seed=seed) for seed in range(5)]
-        kernel = np.conj(scaled_rows(a)) / a.n
         with count_multiplies() as counter:
-            out = transform._butterfly(kernel, np.stack([s.values for s in signals], axis=1),
-                                       3, 6, inverse=False)
+            out = transform._butterfly(a, np.stack([s.values for s in signals], axis=1), 6,
+                                       inverse=False)
         assert counter.count == 0
         want = np.stack([dwt_fast(a, s).coeffs for s in signals], axis=1)
         np.testing.assert_allclose(out.reshape(want.shape), want, rtol=0, atol=1e-14)
@@ -491,7 +490,7 @@ class TestBlockedPasses:
         a = generate_random(base, seed=5, complex_entries=True)
         data = random_signal(base, q, seed=6).values.copy()  # writable
         before = data.copy()
-        out = transform._butterfly(scaled_rows(a).T, data, base, q, inverse=inverse)
+        out = transform._butterfly(a, data, q, inverse=inverse)
         assert np.array_equal(data, before)
         assert not np.shares_memory(out, data)
 
@@ -516,7 +515,7 @@ def started_threads(monkeypatch):
 
 
 class TestCpuShares:
-    """A pass of many blocks runs one contiguous share of them per usable CPU, at most two."""
+    """A pass of many blocks runs in two halves when the process may use two CPUs."""
 
     # threads started by a forward and an inverse transform on 64 CPUs: one per pass
     # of at least 32 blocks (the 1M-cell sizes); smaller passes run on the calling thread
@@ -546,84 +545,70 @@ class TestCpuShares:
     def test_small_blocks_bit_identical(self, monkeypatch, started_threads, lead, block, base, q):
         # the block constants of test_many_passes and test_inputs_never_overwritten:
         # many blocks per pass, and a last forward pass that writes over the first's
-        # output; every pass of two blocks or more splits, into up to three shares
+        # output; every pass of two blocks or more splits in two
         monkeypatch.setattr(transform, "_LEAD", lead)
         monkeypatch.setattr(transform, "_BLOCK", block)
         monkeypatch.setattr(transform, "_SPLIT_BLOCKS", 2)
-        monkeypatch.setattr(transform, "_SHARES", 3)
         for complex_values in (False, True):
             a = generate_random(base, seed=3, complex_entries=complex_values)
             s = random_signal(base, q, seed=4, complex_values=complex_values)
             signal_before = s.values.copy()
             results = {}
-            for cpus in (1, 3):
+            for cpus in (1, 2):
                 monkeypatch.setattr(transform, "_usable_cpus", lambda: cpus)
                 results[cpus] = _both_directions(a, s)
             assert np.array_equal(s.values, signal_before)
-            for got, want in zip(results[3], results[1]):
+            for got, want in zip(results[2], results[1]):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
         assert not any(t.is_alive() for t in started_threads)
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_error_raised_after_every_join(self, monkeypatch, started_threads, failing):
-        # 3^11 cells: six blocks per pass, the first and then three shares of five, two on threads
+        # 3^11 cells: six blocks per pass, the first and then halves of two and three
         monkeypatch.setattr(transform, "_SPLIT_BLOCKS", 2)
-        monkeypatch.setattr(transform, "_SHARES", 3)
-        monkeypatch.setattr(transform, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
         a = generate_random(3, seed=1)
         s = random_signal(3, 11, seed=2)
         block = transform._block
         caller = threading.current_thread()
-        lock, raised = threading.Lock(), []
 
         def failing_block(kernel, src, j, *args):
             worker = threading.current_thread() is not caller
-            with lock:  # the first worker block, or the caller's first after block 0
-                fail = not raised and (worker if failing == "worker" else j > 0 and not worker)
-                if fail:
-                    raised.append(j)
-            if fail:
-                raise RuntimeError("share failed")
             if worker:
-                time.sleep(0.05)  # the other workers outlast the raise
+                time.sleep(0.05)  # the worker outlasts the caller's half and its raise
+            if j > 0 and worker == (failing == "worker"):
+                raise RuntimeError("half failed")
             return block(kernel, src, j, *args)
 
         monkeypatch.setattr(transform, "_block", failing_block)
         with count_multiplies() as counter:
-            with pytest.raises(RuntimeError, match="share failed"):
+            with pytest.raises(RuntimeError, match="half failed"):
                 dwt_fast(a, s)
-        assert len(started_threads) == 2
+        assert len(started_threads) == 1
         assert not any(t.is_alive() for t in started_threads)
         assert counter.count == 0
 
-    @pytest.mark.parametrize("starts", [0, 1, 2])
-    def test_share_without_a_thread_runs_on_the_caller(self, monkeypatch, starts):
-        # the thread after the first `starts` cannot start: its share and the later
-        # ones run on the calling thread, and the threads that did start are joined
-        attempts, started = [], []
+    def test_half_without_a_thread_runs_on_the_caller(self, monkeypatch):
+        # the thread cannot start: the calling thread runs every block, in order
+        attempts = []
 
-        class Limited(threading.Thread):
+        class Unstartable(threading.Thread):
             def start(self):
                 attempts.append(self)
-                if len(started) == starts:
-                    raise RuntimeError("can't start new thread")
-                started.append(self)
-                super().start()
+                raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(threading, "Thread", Limited)
+        monkeypatch.setattr(threading, "Thread", Unstartable)
         caller = threading.current_thread()
-        lock, ran = threading.Lock(), {}
+        ran = []
 
-        def run(share):
-            time.sleep(0.02)
-            with lock:
-                ran[share] = threading.current_thread() is caller
+        def run(starts):
+            ran.extend((j, threading.current_thread() is caller) for j in starts)
 
-        transform._run_shares(run, [0, 1, 2, 3])
-        assert len(attempts) == starts + 1
-        assert not any(t.is_alive() for t in started)
-        assert ran == {k: k == 0 or k > starts for k in range(4)}
+        transform._run_halves(run, range(1, 6))
+        assert len(attempts) == 1
+        assert not any(t.is_alive() for t in attempts)
+        assert ran == [(j, True) for j in range(1, 6)]
 
     def test_transform_without_threads_is_bit_identical(self, monkeypatch):
         class Unstartable(threading.Thread):
