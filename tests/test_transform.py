@@ -589,26 +589,39 @@ class TestCpuShares:
         assert not any(t.is_alive() for t in started_threads)
         assert counter.count == 0
 
-    def test_half_without_a_thread_runs_on_the_caller(self, monkeypatch):
-        # the thread cannot start: the calling thread runs every block, in order
-        attempts = []
+    @pytest.mark.parametrize("starts", [0, 1, 2])
+    def test_share_without_a_thread_runs_on_the_caller(self, monkeypatch, starts):
+        # three passes split in halves; the threads after the first `starts` cannot
+        # start: those passes run every block, in order, on the calling thread, and
+        # the threads that did start are joined
+        attempts, started = [], []
 
-        class Unstartable(threading.Thread):
+        class Limited(threading.Thread):
             def start(self):
                 attempts.append(self)
-                raise RuntimeError("can't start new thread")
+                if len(started) == starts:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
 
-        monkeypatch.setattr(threading, "Thread", Unstartable)
+        monkeypatch.setattr(threading, "Thread", Limited)
         caller = threading.current_thread()
-        ran = []
+        for p in range(3):
+            lock, ran = threading.Lock(), []
 
-        def run(starts):
-            ran.extend((j, threading.current_thread() is caller) for j in starts)
+            def run(blocks):
+                for j in blocks:
+                    with lock:
+                        ran.append((j, threading.current_thread() is caller))
 
-        transform._run_halves(run, range(1, 6))
-        assert len(attempts) == 1
-        assert not any(t.is_alive() for t in attempts)
-        assert ran == [(j, True) for j in range(1, 6)]
+            transform._run_halves(run, range(1, 6))
+            assert not any(t.is_alive() for t in started)
+            if p < starts:
+                assert sorted(ran) == [(j, j < 3) for j in range(1, 6)]
+            else:
+                assert ran == [(j, True) for j in range(1, 6)]
+        assert len(attempts) == 3
+        assert len(started) == starts
 
     def test_transform_without_threads_is_bit_identical(self, monkeypatch):
         class Unstartable(threading.Thread):
