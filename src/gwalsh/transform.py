@@ -23,7 +23,8 @@ the whole transform is one block on the calling thread.  A pass of at
 least 32 blocks (about 2^20 cells and more) splits the blocks after its
 first, which share no output, into two halves when the process may use
 two CPUs: the second half runs on a thread joined before the pass ends.
-The products, and so the result, do not depend on the CPU count.
+The halves run the same products, so they never change the result;
+BLAS's own threads can change the last bits of a large one-digit pass.
 
 The inverse transform synthesizes v_j = sum_n c_n * W_n(cell j) with the
 transposed stage structure.  For a unitary matrix this is the exact
@@ -33,6 +34,7 @@ is still the synthesis operator (no numerical matrix inversion).
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 from contextlib import contextmanager
@@ -47,13 +49,44 @@ from .errors import BaseMismatchError, ValidationError
 from .matrix import WalshMatrix, read_text, seeded_rng
 
 
+def _stored_dtype(arr: np.ndarray) -> np.dtype:
+    """float64 for real numbers, the input's dtype for complex ones; else ValidationError.
+
+    Only an object array's elements are looked at: each must be a number.
+    """
+    kind = arr.dtype.kind
+    if kind == "O" and all(isinstance(v, (numbers.Number, np.bool_)) for v in arr):
+        complex_values = any(isinstance(v, (complex, np.complexfloating)) for v in arr)
+        return np.dtype(np.complex128 if complex_values else np.float64)
+    if kind == "c":
+        return arr.dtype
+    if kind in "biuf":
+        return np.dtype(np.float64)
+    raise ValidationError(f"cell values must be numbers, got dtype {arr.dtype}")
+
+
 def _as_cells(values, base: int, q: int) -> np.ndarray:
-    arr = np.asarray(values)
+    """The N^q cell values as a read-only 1-D array of the stored dtype.
+
+    An array that owns its memory, is not writeable and has the stored dtype
+    (a transform's result) is kept as it is.  Anything else (a list, a
+    writeable array, a view, another dtype) is copied.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # nested sequences of unequal lengths
+        raise ValidationError("cell values must be a flat sequence of numbers") from None
     if arr.ndim != 1 or arr.shape[0] != cell_count(base, q):
         raise ValidationError(
             f"expected N^q cell values for base {base}, q {q}, got shape {arr.shape}"
         )
-    arr = np.array(arr, dtype=None if np.iscomplexobj(arr) else np.float64)
+    stored = _stored_dtype(arr)
+    if arr.flags.owndata and not arr.flags.writeable and arr.dtype == stored:
+        return arr
+    try:
+        arr = np.array(arr, dtype=stored)
+    except OverflowError:  # a Python int past the float range, in an object array
+        raise ValidationError("a cell value is too large for a float") from None
     arr.flags.writeable = False
     return arr
 
@@ -67,7 +100,11 @@ def _infer_q(base: int, length: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Signal:
-    """Piecewise-constant function on [0, 1): value j on [j/N^q, (j+1)/N^q)."""
+    """Piecewise-constant function on [0, 1): value j on [j/N^q, (j+1)/N^q).
+
+    The N^q numbers in ``values`` are stored read-only: copied, unless they
+    are a read-only array that owns its memory and has the stored dtype.
+    """
 
     base: int
     q: int
@@ -87,7 +124,10 @@ class Signal:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientVector:
-    """Walsh coefficients c_0..c_{N^q-1} in natural index order."""
+    """Walsh coefficients c_0..c_{N^q-1} in natural index order.
+
+    ``coeffs`` are stored, copied or kept, as ``Signal`` stores its values.
+    """
 
     base: int
     q: int
@@ -241,7 +281,8 @@ def _butterfly(a: WalshMatrix, data: np.ndarray, q: int, inverse: bool,
     forward pass writes each block back over the columns it has just read
     when its input belongs to the driver and has the result's dtype: the
     first pass's output in a two-pass transform, or a C-contiguous ``data``
-    when ``overwrite`` is true.  Otherwise ``data`` is only read.
+    when ``overwrite`` is true.  Otherwise ``data`` is only read, and the
+    result is a flat array that the driver allocated, not a view of one.
 
     A block reads and writes only its own columns or rows.  The calling
     thread runs the first block alone, because its product fixes the output
@@ -265,7 +306,9 @@ def _butterfly(a: WalshMatrix, data: np.ndarray, q: int, inverse: bool,
         blk = _block(kernel, src, 0, cols, base, m, inverse)
         # allocated after the products: exchanges ran ~15% slower the other way
         if last and (overwrite or i > 0) and blk.dtype == data.dtype:
-            out = data.reshape(-1)  # each block is read in full before it is written back
+            # each block is read in full before it is written back; the first
+            # pass's output is flat already, and is returned itself, not a view
+            out = data if i > 0 else data.reshape(-1)
         else:
             out = np.empty(data.size, dtype=blk.dtype)
         dst = out.reshape(lead, rest).T if last else out.reshape(rest, lead)
@@ -290,6 +333,7 @@ def dwt_fast(a: WalshMatrix, s: Signal) -> CoefficientVector:
     _check_base(a, s.base)
     coeffs = _butterfly(a, s.values, s.q, inverse=False)
     _tally(s.base, s.q)
+    coeffs.flags.writeable = False  # the driver's own array, kept without a copy
     return CoefficientVector(base=s.base, q=s.q, coeffs=coeffs)
 
 
@@ -298,6 +342,7 @@ def idwt(a: WalshMatrix, c: CoefficientVector) -> Signal:
     _check_base(a, c.base)
     values = _butterfly(a, c.coeffs, c.q, inverse=True)
     _tally(c.base, c.q)
+    values.flags.writeable = False
     return Signal(base=c.base, q=c.q, values=values)
 
 

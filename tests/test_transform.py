@@ -1,7 +1,13 @@
+import os
 import re
+import shutil
+import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +72,50 @@ class TestSignalTypes:
         np.testing.assert_array_equal(s.values, raw.astype(stored))
         assert not np.shares_memory(s.values, raw)
         assert not s.values.flags.writeable
+
+    @pytest.mark.parametrize("raw", [
+        np.arange(9.0), (1 + 1j) * np.arange(9), np.arange(9, dtype=np.complex64),
+    ], ids=["float64", "complex128", "complex64"])
+    def test_read_only_owned_array_is_kept(self, raw):
+        # a read-only array that owns its memory and has the stored dtype, as a
+        # transform's result does, is stored as it is
+        raw.flags.writeable = False
+        assert Signal(base=3, q=2, values=raw).values is raw
+        assert CoefficientVector(base=3, q=2, coeffs=raw).coeffs is raw
+
+    @pytest.mark.parametrize("raw,read_only", [
+        (np.arange(9.0), False), (np.arange(18.0)[::2], True),
+        (np.arange(9.0).reshape(3, 3).reshape(-1), True), (np.arange(9, dtype=np.float32), True),
+    ], ids=["writeable", "strided", "view", "float32"])
+    def test_other_arrays_are_copied(self, raw, read_only):
+        raw.flags.writeable = not read_only
+        for stored in (Signal(3, 2, raw).values, CoefficientVector(3, 2, raw).coeffs):
+            assert stored.dtype == np.float64 and stored.flags.owndata
+            assert not stored.flags.writeable
+            assert not np.shares_memory(stored, raw)
+            np.testing.assert_array_equal(stored, raw)
+
+    @pytest.mark.parametrize("base,values", [
+        (3, ["1", "2", "3"]), (2, [None, 1]), (3, ["a", "b", "c"]),
+        (2, np.array([1.0, "2"], dtype=object)), (2, [b"0", b"1"]),
+        (2, np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]")), (2, [1, 10**400]),
+        (2, [[1], [1, 2]]),
+    ], ids=["numeric-strings", "none", "letters", "object-string", "bytes", "dates", "huge-int",
+            "ragged"])
+    def test_non_numbers_rejected(self, base, values):
+        for cls in (Signal, CoefficientVector):
+            with pytest.raises(ValidationError):
+                cls(base, 1, values)
+
+    def test_numbers_of_any_type_accepted(self):
+        values = [True, 2, 2.5, np.float32(3), Fraction(1, 4), 10**30, np.True_, np.int8(7),
+                  Decimal("0.5")]
+        want = [1.0, 2.0, 2.5, 3.0, 0.25, 1e30, 1.0, 7.0, 0.5]
+        for raw in (values, np.array(values, dtype=object)):
+            s = Signal(base=3, q=2, values=raw)
+            assert s.values.dtype == np.float64 and s.values.tolist() == want
+        c = CoefficientVector(base=2, q=1, coeffs=np.array([1, np.complex64(2j)], dtype=object))
+        assert c.coeffs.dtype == np.complex128 and c.coeffs.tolist() == [1, 2j]
 
     def test_inline_digits(self, signal_f):
         assert len(signal_f) == 27
@@ -495,6 +545,56 @@ class TestBlockedPasses:
         assert not np.shares_memory(out, data)
 
 
+class TestOwnResults:
+    """dwt_fast and idwt store the pass driver's own output, read-only, without a copy."""
+
+    @pytest.mark.parametrize("base,q,complex_values", [
+        (2, 20, False), (3, 13, False), (4, 10, False), (16, 5, True),
+    ])
+    def test_peak_memory(self, base, q, complex_values):
+        # the forward peak is its result and one pass's blocks (a copy of the result
+        # made it 2.0 arrays); the inverse writes a fresh array in each of its passes
+        a = generate_random(base, seed=1, complex_entries=complex_values)
+        s = random_signal(base, q, seed=2, complex_values=complex_values)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            c = dwt_fast(a, s)
+            forward = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            back = idwt(a, c)
+            inverse = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert forward <= 1.3 * c.coeffs.nbytes
+        assert inverse <= 2.2 * back.values.nbytes
+
+    @pytest.mark.parametrize("base,q", [(3, 5), (2, 16)], ids=["one-pass", "two-pass"])
+    @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+    def test_results_are_the_drivers_own(self, monkeypatch, base, q, complex_values):
+        a = generate_random(base, seed=5, complex_entries=complex_values)
+        s = random_signal(base, q, seed=6, complex_values=complex_values)
+        outputs = []
+        butterfly = transform._butterfly
+
+        def recording(*args, **kwargs):
+            outputs.append(butterfly(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(transform, "_butterfly", recording)
+        c = dwt_fast(a, s)
+        back = idwt(a, c)
+        assert len(transform._digit_groups(base, q)) == (1 if q == 5 else 2)
+        for got, output, source in ((c.coeffs, outputs[0], s.values),
+                                    (back.values, outputs[1], c.coeffs)):
+            assert got is output
+            assert got.flags.owndata and not got.flags.writeable
+            assert not np.shares_memory(got, source)
+            with pytest.raises(ValueError):
+                got[0] = 0
+
+
 def _both_directions(a, s):
     c = dwt_fast(a, s)
     return c.coeffs, idwt(a, c).values
@@ -659,6 +759,55 @@ class TestCpuShares:
         monkeypatch.delattr(transform.os, "sched_getaffinity")
         monkeypatch.setattr(transform.os, "cpu_count", lambda: None)
         assert transform._usable_cpus() == 1
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _transform_in_child(path, base, q, complex_values, pin, blas_threads=None):
+    """dwt_fast and idwt of a seeded signal in a fresh process, on one CPU if ``pin``."""
+    code = ("import sys, numpy as np\n"
+            "from gwalsh import dwt_fast, generate_random, idwt, random_signal\n"
+            f"a = generate_random({base}, seed=1, complex_entries={complex_values})\n"
+            f"s = random_signal({base}, {q}, seed=2, complex_values={complex_values})\n"
+            "c = dwt_fast(a, s)\n"
+            "np.savez(sys.argv[1], coeffs=c.coeffs, values=idwt(a, c).values)\n")
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    pinned = ["taskset", "-c", str(min(os.sched_getaffinity(0)))] if pin else []
+    result = subprocess.run(pinned + [sys.executable, "-c", code, str(path)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    with np.load(path) as saved:
+        return saved["coeffs"], saved["values"]
+
+
+@pytest.mark.skipif(shutil.which("taskset") is None or transform._usable_cpus() < 2,
+                    reason="needs taskset and an affinity set of two CPUs or more")
+class TestCpuCount:
+    """What the README says about results and the CPU count, in fresh processes."""
+
+    # 2^20 and 16^5 split each pass in two halves when unpinned; 64^3 ends in a
+    # one-digit full-array pass, the widest kernel whose passes are not all one digit
+    @pytest.mark.parametrize("base,q,complex_values", [
+        (2, 20, False), (16, 5, True), (64, 3, False),
+    ])
+    def test_pass_threads_never_change_a_result(self, tmp_path, base, q, complex_values):
+        unpinned = _transform_in_child(tmp_path / "all.npz", base, q, complex_values, pin=False)
+        pinned = _transform_in_child(tmp_path / "one.npz", base, q, complex_values, pin=True)
+        for got, want in zip(unpinned, pinned):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_one_blas_thread_at_large_n(self, tmp_path):
+        # every pass is one digit when N >= 65, and OpenBLAS's own threads can
+        # round the product's last bits differently; one BLAS thread does not
+        results = [_transform_in_child(tmp_path / f"{pin}.npz", 300, 2, False, pin=pin,
+                                       blas_threads=1) for pin in (False, True)]
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestSerialization:
