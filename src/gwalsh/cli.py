@@ -276,7 +276,7 @@ def cmd_verify(args) -> int:
             a, b, args.q, tol=args.tol
         ).worst_residual
     checks = {k: v for k, v in report.items() if k.endswith(("_defect", "_residual", "_deviation"))}
-    failing = sorted(name for name, value in checks.items() if value > args.tol)
+    failing = sorted(name for name, value in checks.items() if not value <= args.tol)  # NaN fails
     report["pass"] = not failing
     report["failing"] = failing
     _write_json(report, args.out)

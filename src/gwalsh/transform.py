@@ -21,8 +21,8 @@ block out behind the digits still to come (the last forward pass writes
 it in front), so no pass ever reorders digit groups.  Below 2^15 cells
 the whole transform is one block on the calling thread.  A pass of at
 least 32 blocks (about 2^20 cells and more) splits the blocks after its
-first, which share no output, into two halves when the process may use
-two CPUs: the second half runs on a thread joined before the pass ends.
+first, which share no output, into two halves: the second half runs on a
+thread joined before the pass ends.
 The halves run the same products, so they never change the result;
 BLAS's own threads can change the last bits of a large one-digit pass.
 
@@ -35,7 +35,6 @@ is still the synthesis operator (no numerical matrix inversion).
 from __future__ import annotations
 
 import numbers
-import os
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -65,6 +64,17 @@ def _stored_dtype(arr: np.ndarray) -> np.dtype:
     raise ValidationError(f"cell values must be numbers, got dtype {arr.dtype}")
 
 
+def _flat_array(values) -> np.ndarray:
+    """values as a 1-D array, without a copy where numpy needs none; else ValidationError."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # nested sequences of unequal lengths
+        raise ValidationError("cell values must be a flat sequence of numbers") from None
+    if arr.ndim != 1:
+        raise ValidationError(f"cell values must be one-dimensional, got shape {arr.shape}")
+    return arr
+
+
 def _as_cells(values, base: int, q: int) -> np.ndarray:
     """The N^q cell values as a read-only 1-D array of the stored dtype.
 
@@ -72,11 +82,8 @@ def _as_cells(values, base: int, q: int) -> np.ndarray:
     (a transform's result) is kept as it is.  Anything else (a list, a
     writeable array, a view, another dtype) is copied.
     """
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # nested sequences of unequal lengths
-        raise ValidationError("cell values must be a flat sequence of numbers") from None
-    if arr.ndim != 1 or arr.shape[0] != cell_count(base, q):
+    arr = _flat_array(values)
+    if arr.shape[0] != cell_count(base, q):
         raise ValidationError(
             f"expected N^q cell values for base {base}, q {q}, got shape {arr.shape}"
         )
@@ -104,6 +111,8 @@ class Signal:
 
     The N^q numbers in ``values`` are stored read-only: copied, unless they
     are a read-only array that owns its memory and has the stored dtype.
+    Such a kept array stays the caller's own: if the caller sets its
+    ``writeable`` flag back to True, writing to it changes this signal.
     """
 
     base: int
@@ -115,7 +124,7 @@ class Signal:
 
     @classmethod
     def from_values(cls, base: int, values) -> "Signal":
-        arr = np.asarray(values)
+        arr = _flat_array(values)
         return cls(base=base, q=_infer_q(base, arr.shape[0]), values=arr)
 
     def __len__(self) -> int:
@@ -211,14 +220,6 @@ def _digit_groups(base: int, q: int) -> list[int]:
     return [m, q - m]
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on: its affinity set where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _block(kernel: np.ndarray, src: np.ndarray, j: int, cols: int, base: int, m: int,
            inverse: bool) -> np.ndarray:
     """Columns j to j + cols of src through a pass's m stages, shaped as rows of its output."""
@@ -287,9 +288,9 @@ def _butterfly(a: WalshMatrix, data: np.ndarray, q: int, inverse: bool,
     A block reads and writes only its own columns or rows.  The calling
     thread runs the first block alone, because its product fixes the output
     dtype and the output is allocated after it.  A pass of at least
-    ``_SPLIT_BLOCKS`` blocks, when the process may use two CPUs, splits the
-    others into two halves (``_run_halves``); any other pass, and so every
-    one-pass transform, runs them all on the calling thread.
+    ``_SPLIT_BLOCKS`` blocks splits the others into two halves
+    (``_run_halves``); any other pass, and so every one-pass transform, runs
+    them all on the calling thread.
     """
     base = a.n
     # analysis by conj(sqrt(N) A) / N, row 0 exactly 1/N; synthesis by (sqrt(N) A)^T
@@ -320,7 +321,7 @@ def _butterfly(a: WalshMatrix, data: np.ndarray, q: int, inverse: bool,
                 dst[j:j + cols] = _block(kernel, src, j, cols, base, m, inverse)
 
         starts = range(cols, rest, cols)  # the blocks after the first
-        if 1 + len(starts) >= _SPLIT_BLOCKS and _usable_cpus() > 1:
+        if 1 + len(starts) >= _SPLIT_BLOCKS:
             _run_halves(run, starts)
         else:
             run(starts)

@@ -42,6 +42,14 @@ def matrix_b_file(tmp_path, matrix_b):
 
 
 @pytest.fixture()
+def unpaired_b_file(tmp_path):
+    # unitary with a constant first row, but not a companion of the reference A
+    path = tmp_path / "B_unpaired.json"
+    save_matrix(generate_random(3, seed=2), path)
+    return str(path)
+
+
+@pytest.fixture()
 def signal_file(tmp_path, signal_f):
     from gwalsh.transform import write_signal
 
@@ -182,6 +190,11 @@ class TestSeriesCommand:
                    "--k-list", "1,abc", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
 
+    def test_empty_k_list(self, tmp_path, matrix_a_file, signal_file):
+        rc = main(["series", "--matrix", matrix_a_file, "--signal", signal_file,
+                   "--k-list", ",", "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+
 
 class TestKernelCheck:
     def test_passes_for_reference_matrix(self, tmp_path, matrix_a_file):
@@ -192,6 +205,16 @@ class TestKernelCheck:
         report = json.loads(out.read_text())
         assert report["pass"] is True
         assert report["max_deviation"] <= 1e-9
+
+    @pytest.mark.parametrize("deviation", [1.0, float("nan")], ids=["large", "nan"])
+    def test_failure_exit_one(self, tmp_path, matrix_a_file, capsys, monkeypatch, deviation):
+        monkeypatch.setattr(basis, "kernel_deviation", lambda *args, **kwargs: deviation)
+        out = tmp_path / "kc.json"
+        rc = main(["kernel-check", "--matrix", matrix_a_file, "--q", "3", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("kernel-check failed: max_deviation=")
+        assert json.loads(out.read_text())["pass"] is False
 
 
 class TestCheckBoundaries:
@@ -359,6 +382,27 @@ class TestVerify:
         rc = main(["--tol", "1e-12", "verify", "--matrix", matrix_b_file, "--q", "2"])
         assert rc == 1
 
+    def test_failing_pair_exit_one(self, tmp_path, matrix_a_file, unpaired_b_file, capsys):
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--matrix", matrix_a_file, "--matrix-b", unpaired_b_file,
+                   "--q", "2", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "verify failed: pairing_basis_residual, pairing_row_residual"]
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        assert report["failing"] == ["pairing_basis_residual", "pairing_row_residual"]
+
+    def test_nan_check_fails(self, tmp_path, matrix_a_file, capsys, monkeypatch):
+        monkeypatch.setattr(basis, "gram_defect", lambda *args: float("nan"))
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--matrix", matrix_a_file, "--q", "2", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["verify failed: gram_defect"]
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        assert report["failing"] == ["gram_defect"]
+
     def test_tol_after_subcommand(self, matrix_b_file):
         rc = main(["verify", "--matrix", matrix_b_file, "--q", "2", "--tol", "1e-12"])
         assert rc == 1
@@ -468,6 +512,16 @@ class TestExchange:
                          "--signal", signal_file, "--out", str(out)]) == 0
             transcripts.append(out.read_bytes())
         assert transcripts[0] == transcripts[1]
+
+    def test_violated_pairing_warns(self, tmp_path, matrix_a_file, unpaired_b_file, signal_file,
+                                    capsys):
+        out = tmp_path / "t.json"
+        rc = main(["exchange", "--matrix", matrix_a_file, "--matrix-b", unpaired_b_file,
+                   "--signal", signal_file, "--out", str(out)])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: pairing condition violated")
+        assert load_transcript(out).pairing_violated
 
     def test_partner_required(self, tmp_path, matrix_a_file, signal_file):
         rc = main(["exchange", "--matrix", matrix_a_file, "--signal", signal_file,

@@ -39,7 +39,7 @@ from gwalsh import (
     solve_companion_numeric,
     validate,
 )
-from gwalsh import protocol, transform
+from gwalsh import protocol
 from gwalsh.basis import MAX_GRID
 from gwalsh.protocol import (
     BasisPairingReport,
@@ -976,11 +976,10 @@ class TestConcurrentExchange:
 
 
 def test_one_pass_work_starts_no_thread(monkeypatch):
-    # 3^9 and (3, 6) grids are one pass each: serial whatever the CPU count
+    # 3^9 and (3, 6) grids are one pass each: serial on any host
     def no_thread(*args, **kwargs):
         raise AssertionError("a one-pass transform started a thread")
 
-    monkeypatch.setattr(transform, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(threading, "Thread", no_thread)
     a = generate_random(3, seed=1)
     b = solve_companion_numeric(a, seed=2)
