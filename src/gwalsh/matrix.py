@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Number
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,27 @@ def constant_row(n: int) -> np.ndarray:
     if not 2 <= n <= MAX_N:
         raise BadDimensionError(f"base must be between 2 and {MAX_N}, got {n}")
     return np.full(n, 1.0 / math.sqrt(n))
+
+
+def number_array(values, what: str) -> tuple[np.ndarray, np.dtype]:
+    """values as an array of numbers, and the dtype that stores them; else ValidationError.
+
+    Booleans, integers and real floats of any width are stored as float64,
+    complex numbers of any width as complex128.  An object array is converted
+    here, read-only, so each element must be a number within the float range.
+    Strings, bytes, None, datetimes and ragged lists are not numbers.
+    """
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind == "O" and all(isinstance(v, (Number, np.bool_)) for v in arr.flat):
+            complex_values = any(isinstance(v, (complex, np.complexfloating)) for v in arr.flat)
+            arr = arr.astype(np.complex128 if complex_values else np.float64)
+            arr.flags.writeable = False  # stored as it is: no second copy
+    except (ValueError, OverflowError):  # ragged nested lists; an int past the float range
+        raise ValidationError(f"{what} must be numbers in float range, not ragged lists") from None
+    if arr.dtype.kind not in "biufc":
+        raise ValidationError(f"{what} must be numbers, got dtype {arr.dtype}")
+    return arr, np.dtype(np.complex128 if arr.dtype.kind == "c" else np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,20 +121,21 @@ def validate(entries, tol: float = DEFAULT_EXTERNAL_TOL) -> WalshMatrix:
     """Check the three defining invariants and return a :class:`WalshMatrix`.
 
     The first row is snapped to the exact 1/sqrt(N) values when it is
-    within ``tol`` of them.  Raises :class:`BadDimensionError`,
-    :class:`BadFirstRowError` or :class:`NotUnitaryError` otherwise.
+    within ``tol`` of them.  Entries that are not numbers raise
+    :class:`ValidationError`; the others are stored as :func:`number_array`
+    says, complex ones as float64 when every imaginary part is zero.  Raises
+    :class:`BadDimensionError`, :class:`BadFirstRowError` or :class:`NotUnitaryError` otherwise.
     """
     if not 0 < tol < math.inf:
         raise ValidationError(f"tolerance must be positive and finite, got {tol}")
-    arr = np.asarray(entries)
+    arr, stored = number_array(entries, "matrix entries")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise BadDimensionError(f"entries must be square, got shape {arr.shape}")
     n = arr.shape[0]
     first = constant_row(n)
-    if np.iscomplexobj(arr) and not arr.imag.any():
-        arr = arr.real
-    dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-    arr = arr.astype(dtype)
+    arr = arr.astype(stored)
+    if stored.kind == "c" and not arr.imag.any():
+        arr = arr.real.copy()
 
     first_dev = float(np.abs(arr[0] - first).max())
     if not first_dev <= tol:

@@ -173,8 +173,9 @@ def _walsh_cross(a: WalshMatrix, b: WalshMatrix, q: int) -> np.ndarray:
     """[l, k] = <W_l of B, W_k of A> for all l, k < N^q, by one butterfly pass.
 
     The columns of the C-contiguous (cells, N^q) array ``grid_matrix(b, q).T``
-    are B's Walsh functions, and A's forward kernel analyses them all at once.
-    The grid has at most MAX_GRID cells, one cache block, so the pass is single.
+    are B's Walsh functions, and A's forward kernel analyses them all at once,
+    in one pass: the grid has at most MAX_GRID cells.  From about 1000 cells
+    (q >= 2) the pass has 32 blocks or more, and it splits in two halves.
     The grid is built here, so the pass writes its result over it: the check
     holds one N^(2q) array, or two when a complex A analyses a real B.
     """

@@ -34,7 +34,6 @@ is still the synthesis operator (no numerical matrix inversion).
 
 from __future__ import annotations
 
-import numbers
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -45,34 +44,15 @@ import numpy as np
 
 from .basis import cell_count, digit_length, scaled_rows, walsh_on_grid
 from .errors import BaseMismatchError, ValidationError
-from .matrix import WalshMatrix, read_text, seeded_rng
+from .matrix import WalshMatrix, number_array, read_text, seeded_rng
 
 
-def _stored_dtype(arr: np.ndarray) -> np.dtype:
-    """float64 for real numbers, the input's dtype for complex ones; else ValidationError.
-
-    Only an object array's elements are looked at: each must be a number.
-    """
-    kind = arr.dtype.kind
-    if kind == "O" and all(isinstance(v, (numbers.Number, np.bool_)) for v in arr):
-        complex_values = any(isinstance(v, (complex, np.complexfloating)) for v in arr)
-        return np.dtype(np.complex128 if complex_values else np.float64)
-    if kind == "c":
-        return arr.dtype
-    if kind in "biuf":
-        return np.dtype(np.float64)
-    raise ValidationError(f"cell values must be numbers, got dtype {arr.dtype}")
-
-
-def _flat_array(values) -> np.ndarray:
-    """values as a 1-D array, without a copy where numpy needs none; else ValidationError."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # nested sequences of unequal lengths
-        raise ValidationError("cell values must be a flat sequence of numbers") from None
+def _flat_array(values) -> tuple[np.ndarray, np.dtype]:
+    """values as a 1-D array, without a copy where numpy needs none, and their stored dtype."""
+    arr, stored = number_array(values, "cell values")
     if arr.ndim != 1:
         raise ValidationError(f"cell values must be one-dimensional, got shape {arr.shape}")
-    return arr
+    return arr, stored
 
 
 def _as_cells(values, base: int, q: int) -> np.ndarray:
@@ -82,18 +62,14 @@ def _as_cells(values, base: int, q: int) -> np.ndarray:
     (a transform's result) is kept as it is.  Anything else (a list, a
     writeable array, a view, another dtype) is copied.
     """
-    arr = _flat_array(values)
+    arr, stored = _flat_array(values)
     if arr.shape[0] != cell_count(base, q):
         raise ValidationError(
             f"expected N^q cell values for base {base}, q {q}, got shape {arr.shape}"
         )
-    stored = _stored_dtype(arr)
     if arr.flags.owndata and not arr.flags.writeable and arr.dtype == stored:
         return arr
-    try:
-        arr = np.array(arr, dtype=stored)
-    except OverflowError:  # a Python int past the float range, in an object array
-        raise ValidationError("a cell value is too large for a float") from None
+    arr = np.array(arr, dtype=stored)
     arr.flags.writeable = False
     return arr
 
@@ -124,7 +100,7 @@ class Signal:
 
     @classmethod
     def from_values(cls, base: int, values) -> "Signal":
-        arr = _flat_array(values)
+        arr = _flat_array(values)[0]
         return cls(base=base, q=_infer_q(base, arr.shape[0]), values=arr)
 
     def __len__(self) -> int:
@@ -368,7 +344,6 @@ def _values_to_text(values: np.ndarray, kind: str, base: int, q: int,
                     digits: int | None = None) -> str:
     field = "{!r}" if digits is None else f"{{:.{digits}g}}"
     if np.iscomplexobj(values):
-        values = values.astype(complex, copy=False)  # so tolist() gives Python floats
         lines = map(f"{field},{field}".format, values.real.tolist(), values.imag.tolist())
     else:
         lines = map(field.format, values.tolist())

@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -30,3 +31,17 @@ def signal_f():
 @pytest.fixture(scope="session")
 def dyadic_step():
     return Signal.from_values(base=2, values=rv.DYADIC_STEP)
+
+
+@pytest.fixture()
+def started_threads(monkeypatch):
+    """Every thread started while the test runs, in start order."""
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recording)
+    return started

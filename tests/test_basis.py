@@ -117,6 +117,10 @@ class TestDigits:
         with pytest.raises(DigitOverflowError):
             digits(27, 3, 3)
 
+    def test_negative(self):
+        with pytest.raises(ValidationError, match="n must be nonnegative, got -1"):
+            digits(-1, 3)
+
     @given(st.integers(2, 7), st.integers(0, 10_000))
     def test_round_trip(self, base, n):
         def value(ds):

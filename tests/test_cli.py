@@ -356,6 +356,17 @@ def test_non_utf8_file_exit_two(tmp_path, matrix_a_file, signal_file, capsys, fl
     assert capsys.readouterr().err.startswith("ValidationError: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["encode"], ["series", "--k-list", "3"], ["exchange", "--r", "0.2"],
+], ids=["encode", "series", "exchange"])
+def test_no_signal_exit_two(tmp_path, matrix_a_file, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--matrix", matrix_a_file, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "ValidationError: provide --signal or --signal-inline"]
+    assert not out.exists()
+
+
 def test_superscript_inline_signal_exit_two(tmp_path, matrix_a_file):
     out = tmp_path / "c.csv"
     rc = main(["encode", "--matrix", matrix_a_file, "--signal-inline", "0\u00b22",

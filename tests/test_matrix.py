@@ -24,9 +24,12 @@ from gwalsh import (
     validate,
 )
 from gwalsh.basis import kernel_deviation
-from gwalsh.matrix import MAX_N, constant_row, matrix_from_dict, seeded_rng
+from gwalsh.matrix import MAX_N, WalshMatrix, constant_row, matrix_from_dict, seeded_rng
 from gwalsh.protocol import mask_constraints, solve_companion_numeric
 from gwalsh.transform import random_signal
+
+
+_H = 1 / np.sqrt(2)
 
 
 def _matrix_a_with(value, i, j):
@@ -98,6 +101,41 @@ class TestValidate:
         bad = np.array([[1 / np.sqrt(2), 1 / np.sqrt(2)], [1 / np.sqrt(2), 1 / np.sqrt(2)]])
         with pytest.raises(NotUnitaryError):
             validate(bad, tol=1e-8)
+
+    def test_zero_row_sum_rejected(self):
+        # unitary within tol, but row 1 sums to 2e, just above tol
+        e = 0.6e-8
+        with pytest.raises(NotUnitaryError, match=r"row 1 sums to 1\.200e-08"):
+            validate([[_H, _H], [_H + e, -_H + e]], tol=1e-8)
+
+    def test_shape_must_match_n(self):
+        with pytest.raises(BadDimensionError, match=r"shape \(2, 2\) does not match n=3"):
+            WalshMatrix(n=3, entries=np.eye(2), tol=1e-8)
+
+    @pytest.mark.parametrize("entries", [
+        [[repr(_H), repr(_H)], [repr(_H), repr(-_H)]],
+        [[repr(_H).encode()] * 2, [repr(_H).encode(), repr(-_H).encode()]],
+        [[_H, _H], [_H, None]],
+        np.array([["2020-01-01"] * 2] * 2, dtype="datetime64[D]"),
+        [[_H, _H], [_H]],
+        [[_H, _H], [10**400, -_H]],
+    ], ids=["numeric-strings", "bytes", "none", "dates", "ragged", "huge-int"])
+    def test_non_numbers_rejected(self, entries):
+        with pytest.raises(ValidationError, match="must be numbers"):
+            validate(entries, tol=1e-8)
+
+    @pytest.mark.parametrize("complex_entries,dtype", [
+        *((False, t) for t in (np.float16, np.float32, np.float64, np.longdouble, object)),
+        *((True, t) for t in (np.complex64, np.complex128, np.clongdouble, object)),
+    ], ids=lambda v: ("real", "complex")[v] if isinstance(v, bool) else np.dtype(v).name)
+    def test_numbers_of_any_type_accepted(self, complex_entries, dtype):
+        # stored as float64 or complex128, the input's values rounded to that type
+        a = generate_random(2, seed=1, complex_entries=complex_entries)
+        raw = a.entries.astype(dtype)
+        stored = np.complex128 if complex_entries else np.float64
+        m = validate(raw, tol=1e-2)
+        assert m.entries.dtype == stored
+        assert np.array_equal(m.entries[1:], raw[1:].astype(stored))
 
     def test_complex_with_zero_imag_demoted(self):
         m = validate(rv.MATRIX_A.astype(complex), tol=1e-10)

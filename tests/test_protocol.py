@@ -39,10 +39,12 @@ from gwalsh import (
     solve_companion_numeric,
     validate,
 )
-from gwalsh import protocol
+from gwalsh import protocol, transform
 from gwalsh.basis import MAX_GRID
 from gwalsh.protocol import (
     BasisPairingReport,
+    MaskedConstraintSystem,
+    MaskedEquation,
     _walsh_cross,
     masked_system_from_list,
     transcript_from_dict,
@@ -51,9 +53,13 @@ from gwalsh.protocol import (
 from gwalsh.transform import (
     _butterfly,
     _digit_groups,
+    coefficients_from_text,
+    coefficients_to_text,
     count_multiplies,
     read_coefficients,
     read_signal,
+    signal_from_text,
+    signal_to_text,
 )
 
 # bound on the batched pass's distance from the dense product of the grid
@@ -366,6 +372,28 @@ class TestPairingBasis:
         assert np.shares_memory(over, grid) == (complex_b or not complex_a)
         assert np.array_equal(_walsh_cross(a, b, q), fresh.reshape(grid.shape).T)
 
+    @pytest.mark.parametrize("n,q,complex_a,complex_b", [
+        (4, 5, False, False), (4, 5, True, True), (4, 5, True, False), (2, 11, False, False),
+    ], ids=["real-4-5", "complex-4-5", "complex-a-real-b-4-5", "real-2-11"])
+    def test_split_pass_over_the_grid_equals_the_serial_pass(
+            self, monkeypatch, started_threads, n, q, complex_a, complex_b):
+        # from about 1000 cells the one pass over the grid has at least _SPLIT_BLOCKS
+        # blocks (32 at 4^5, 128 at 2^11), and its second half runs on one thread
+        a = generate_random(n, seed=1, complex_entries=complex_a)
+        b = generate_random(n, seed=2, complex_entries=complex_b)
+        split = _walsh_cross(a, b, q)
+        assert len(started_threads) == 1
+        assert not started_threads[0].is_alive()
+        monkeypatch.setattr(transform, "_SPLIT_BLOCKS", sys.maxsize)  # more than any pass has
+        serial = _walsh_cross(a, b, q)
+        assert len(started_threads) == 1
+        assert split.dtype == serial.dtype
+        assert np.array_equal(split, serial)
+
+    def test_sizes_must_match(self):
+        with pytest.raises(DimensionMismatchError, match="matrix sizes differ: 3 vs 4"):
+            pairing_check_basis(generate_random(3, seed=1), generate_random(4, seed=1), 2)
+
     def test_check_adds_no_multiplies(self):
         a = generate_random(3, seed=1)
         b = solve_companion_numeric(a, seed=2)
@@ -419,6 +447,10 @@ class TestSolveCompanion:
             b = solve_companion(a, r, branch="minus" if seed % 2 else "plus")
             assert b.unitarity_defect() <= 1e-10
             assert pairing_check_rows(a, b, tol=1e-10).holds
+
+    def test_unknown_branch(self, matrix_a):
+        with pytest.raises(ValidationError, match="branch must be one of"):
+            solve_companion(matrix_a, 0.2, branch="up")
 
     def test_requires_real_3x3(self, matrix_a):
         with pytest.raises(ValidationError):
@@ -594,6 +626,22 @@ class TestSolveCompanionNumeric:
         # complex companions must satisfy the full basis-level condition,
         # including the diagonal row pairs the row check does not see
         assert pairing_check_basis(a, b, q=2, tol=1e-8).holds
+
+    def test_masked_system_of_another_size(self, matrix_a):
+        masked = mask_constraints(generate_random(4, seed=7), mask_seed=2)
+        with pytest.raises(DimensionMismatchError, match="masked system has n=4, matrix has n=3"):
+            solve_companion_numeric(matrix_a, masked)
+
+    def test_complex_matrix_with_a_masked_system(self):
+        a = generate_random(3, seed=4, complex_entries=True)
+        masked = MaskedConstraintSystem(n=3, equations=())
+        with pytest.raises(ValidationError, match="masked systems carry real coefficients"):
+            solve_companion_numeric(a, masked)
+
+    def test_unknown_out_of_range(self, matrix_a):
+        masked = MaskedConstraintSystem(n=3, equations=(MaskedEquation({"b_5_0": 1.0}),))
+        with pytest.raises(ValidationError, match="unknown 'b_5_0' out of range for n=3"):
+            solve_companion_numeric(matrix_a, masked)
 
     def test_no_convergence_reports_best_residual(self, matrix_a):
         with pytest.raises(NoConvergenceError) as info:
@@ -828,6 +876,41 @@ def _cells(message) -> np.ndarray:
     return message.values if isinstance(message, Signal) else message.coeffs
 
 
+def _typed_values(dtype) -> np.ndarray:
+    """Nine values of ``dtype``, computed in it so they carry its own rounding."""
+    if dtype is object:
+        return np.array([True, 2, 0.5, 1 / 3, 1j / 3, np.float32(0.1), np.complex64(0.1j),
+                         np.int8(-4), -0.0], dtype=object)
+    if np.dtype(dtype).kind == "b":
+        return np.arange(9) % 2 == 1
+    values = np.arange(-4, 5).astype(dtype)
+    if np.dtype(dtype).kind == "c":
+        values = values + np.arange(9).astype(dtype) * dtype(1j)
+    return values / dtype(3) if np.dtype(dtype).kind in "fc" else values
+
+
+@pytest.mark.parametrize("cls", [Signal, CoefficientVector])
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float16, np.float32, np.float64,
+                                   np.longdouble, np.complex64, np.complex128, np.clongdouble,
+                                   object], ids=lambda t: np.dtype(t).name)
+def test_every_number_type_crosses_each_channel_exactly(tmp_path, cls, dtype):
+    # values are stored as float64 or complex128 whatever their input type, so the
+    # binary wire, the file channel and the repr CSV each give back the same bits
+    message = cls(3, 2, _typed_values(dtype))
+    stored = _cells(message)
+    assert stored.dtype == (np.complex128 if np.iscomplexobj(stored) else np.float64)
+    to_text, from_text = ((signal_to_text, signal_from_text) if cls is Signal
+                          else (coefficients_to_text, coefficients_from_text))
+    received = [from_text(to_text(message))]
+    for channel in (InMemoryChannel(), DirectoryChannel(tmp_path)):
+        channel.put("m", message)
+        received.append(channel.get("m"))
+    for back in received:
+        assert type(back) is cls and (back.base, back.q) == (3, 2)
+        assert _cells(back).dtype == stored.dtype
+        assert _cells(back).tobytes() == stored.tobytes()
+
+
 class TestInMemoryChannel:
     @pytest.mark.parametrize("cls", [Signal, CoefficientVector])
     @pytest.mark.parametrize("values", [
@@ -976,15 +1059,19 @@ class TestConcurrentExchange:
 
 
 def test_one_pass_work_starts_no_thread(monkeypatch):
-    # 3^9 and (3, 6) grids are one pass each: serial on any host
+    # a 3^9 exchange and the 3^6, 5^4 and 8^3 grids pass over 17 blocks or fewer,
+    # under _SPLIT_BLOCKS: serial on any host
     def no_thread(*args, **kwargs):
-        raise AssertionError("a one-pass transform started a thread")
+        raise AssertionError("a pass under _SPLIT_BLOCKS blocks started a thread")
 
     monkeypatch.setattr(threading, "Thread", no_thread)
     a = generate_random(3, seed=1)
     b = solve_companion_numeric(a, seed=2)
     assert run_exchange(a, b, random_signal(3, 9, seed=3)).max_error <= 1e-10
     assert pairing_check_basis(a, b, 6).holds
+    for n, q in ((5, 4), (8, 3)):
+        a = generate_random(n, seed=n)
+        assert pairing_check_basis(a, solve_companion_numeric(a, seed=n), q).holds
 
 
 def test_import_loads_no_scipy():

@@ -71,8 +71,8 @@ class TestSignalTypes:
 
     @pytest.mark.parametrize("dtype,stored", [
         (bool, np.float64), (np.int32, np.float64), (np.float32, np.float64),
-        (np.float64, np.float64), (np.complex64, np.complex64),
-        (np.complex128, np.complex128), (np.clongdouble, np.clongdouble),
+        (np.float64, np.float64), (np.complex64, np.complex128),
+        (np.complex128, np.complex128), (np.clongdouble, np.complex128),
     ])
     def test_values_are_a_private_copy(self, dtype, stored):
         raw = (np.arange(18) % 3).astype(dtype)[::2]  # strided input
@@ -82,9 +82,8 @@ class TestSignalTypes:
         assert not np.shares_memory(s.values, raw)
         assert not s.values.flags.writeable
 
-    @pytest.mark.parametrize("raw", [
-        np.arange(9.0), (1 + 1j) * np.arange(9), np.arange(9, dtype=np.complex64),
-    ], ids=["float64", "complex128", "complex64"])
+    @pytest.mark.parametrize("raw", [np.arange(9.0), (1 + 1j) * np.arange(9)],
+                             ids=["float64", "complex128"])
     def test_read_only_owned_array_is_kept(self, raw):
         # a read-only array that owns its memory and has the stored dtype, as a
         # transform's result does, is stored as it is
@@ -95,11 +94,14 @@ class TestSignalTypes:
     @pytest.mark.parametrize("raw,read_only", [
         (np.arange(9.0), False), (np.arange(18.0)[::2], True),
         (np.arange(9.0).reshape(3, 3).reshape(-1), True), (np.arange(9, dtype=np.float32), True),
-    ], ids=["writeable", "strided", "view", "float32"])
+        (np.arange(9, dtype=np.complex64), True), (np.arange(9, dtype=np.clongdouble), True),
+    ], ids=["writeable", "strided", "view", "float32", "complex64", "clongdouble"])
     def test_other_arrays_are_copied(self, raw, read_only):
+        # complex values of every width are stored as complex128, as real ones as float64
         raw.flags.writeable = not read_only
+        want = np.complex128 if np.iscomplexobj(raw) else np.float64
         for stored in (Signal(3, 2, raw).values, CoefficientVector(3, 2, raw).coeffs):
-            assert stored.dtype == np.float64 and stored.flags.owndata
+            assert stored.dtype == want and stored.flags.owndata
             assert not stored.flags.writeable
             assert not np.shares_memory(stored, raw)
             np.testing.assert_array_equal(stored, raw)
@@ -126,6 +128,18 @@ class TestSignalTypes:
         c = CoefficientVector(base=2, q=1, coeffs=np.array([1, np.complex64(2j)], dtype=object))
         assert c.coeffs.dtype == np.complex128 and c.coeffs.tolist() == [1, 2j]
 
+    def test_object_array_converted_once(self):
+        # the float64 array read from an object array is stored without a second copy
+        raw = np.array([float(v) for v in range(3**10)], dtype=object)
+        tracemalloc.start()
+        try:
+            s = Signal.from_values(3, raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.values.tolist() == raw.tolist()
+        assert peak <= 1.2 * 8 * 3**10
+
     def test_inline_digits(self, signal_f):
         assert len(signal_f) == 27
         assert signal_f.values[3] == 1.0
@@ -134,6 +148,10 @@ class TestSignalTypes:
             signal_from_digits("0a1", base=3)
         with pytest.raises(ValidationError):
             signal_from_digits("0011", base=3)  # 4 cells is not a power of 3
+
+    def test_blank_inline_digits(self):
+        with pytest.raises(ValidationError, match="empty inline signal"):
+            signal_from_digits("  ", 3)
 
 
 class TestForwardTransform:
@@ -614,20 +632,6 @@ def _unsplit_both_directions(a, s):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transform, "_SPLIT_BLOCKS", sys.maxsize)  # more than any pass has
         return _both_directions(a, s)
-
-
-@pytest.fixture()
-def started_threads(monkeypatch):
-    """Every thread started while the test runs, in start order."""
-    started = []
-
-    class Recording(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Recording)
-    return started
 
 
 class TestCpuShares:
