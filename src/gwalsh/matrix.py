@@ -80,9 +80,9 @@ def number_array(values, what: str) -> tuple[np.ndarray, np.dtype]:
 class WalshMatrix:
     """Validated N x N unitary matrix with constant first row.
 
-    Immutable: the entry array is marked read-only on construction.
-    ``tol`` records the unitarity tolerance the matrix was validated
-    against.  Use :func:`validate` to build one from raw entries.
+    :func:`validate` builds one from raw entries and stores them read-only: a
+    plain write raises ValueError, but numpy lets any holder set ``writeable``
+    back to True.  ``tol`` is the unitarity tolerance it checked.
     """
 
     n: int

@@ -10,10 +10,10 @@ check includes l = k, which binds only complex matrices.  This is
 equivalent to the same identity between their Walsh functions in L2[0,1],
 which :func:`pairing_check_basis` checks brute force: it analyses all of
 B's N^q Walsh functions, read cell-major off the grid, by A's forward
-kernel in one batched butterfly pass, q N^(2q+1) multiplies, and scans
-the residual's upper triangle in row blocks.  For a companion pair,
-analysis by A and synthesis by B compose to the identity after two
-rounds, which carries a four-message exchange:
+kernel in one batched butterfly pass, q N^(2q+1) multiplies.  Both checks
+and the numeric companion's certification scan with :func:`_hermitian_defect`.
+For a companion pair, analysis by A and synthesis by B compose to the
+identity after two rounds, which carries a four-message exchange:
 
     w1 = analysis_A(f)    (Alice to Bob)
     w2 = synthesis_B(w1)  (Bob to Alice)
@@ -94,7 +94,7 @@ class PairingReport:
     """Result of the row-level companion check."""
 
     holds: bool
-    worst_pair: RowPair | None
+    worst_pair: RowPair
     worst_residual: float
 
 
@@ -139,34 +139,43 @@ class ExchangeTranscript:
     pairing_violated: bool
 
 
-def _pairing_residual(b_rows: np.ndarray, a_rows: np.ndarray) -> np.ndarray:
-    """``|X - X^H|`` for ``X = b_rows a_rows^H``: [l, k] is ``|<b_l, a_k> - <a_l, b_k>|``."""
-    cross = b_rows @ a_rows.conj().T
-    return np.abs(cross - cross.conj().T)
+def _hermitian_defect(x: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Largest ``|x[i, j] - conj(x[j, i])|`` of a square array, and its (i, j).
+
+    The defect is exactly symmetric: swapping i and j negates the real part
+    of the difference and keeps its imaginary part, the same sum.  So the
+    first row-major maximum (or the first NaN) lies on or above the diagonal,
+    and the scan reads the upper triangle in row blocks of about _BLOCK
+    values, one temporary each; it names the (i, j) a whole-array argmax would.
+    """
+    width = len(x)
+    rows = max(1, _BLOCK // width)
+    worst, worst_indices = -1.0, (0, 0)
+    for i in range(0, width, rows):
+        # one temporary per block: .conj() of a real array is a view, np.conj a copy
+        block = np.subtract(x[i:i + rows, i:], x[i:, i:i + rows].T.conj())
+        block = np.abs(block, out=block if block.dtype.kind == "f" else None)
+        flat = int(block.argmax())
+        value = float(block.flat[flat])
+        if not value <= worst:  # strictly larger, or the first NaN
+            row, col = divmod(flat, width - i)
+            worst, worst_indices = value, (i + row, i + col)
+            if value != value:
+                break
+    return worst, worst_indices
 
 
 def pairing_check_rows(a: WalshMatrix, b: WalshMatrix, tol: float = 1e-8) -> PairingReport:
     """Check the row-level companion condition over all pairs 1 <= l <= k.
 
-    ``worst_pair`` is the last maximal pair l < k in row-major order, or
-    (l, l) when its residual is strictly the largest.
+    The residual of (l, k) is ``|<b_l, a_k> - <a_l, b_k>|``, the Hermitian
+    defect of ``B[1:] A[1:]^H``; ``worst_pair`` is the first row-major pair
+    with the largest residual (or NaN).
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
-    residual = _pairing_residual(b.entries[1:], a.entries[1:])
-    diagonal = residual.diagonal()
-    rows, cols = np.triu_indices(a.n - 1, 1)
-    off = residual[rows, cols]
-    if off.size and off.max() >= diagonal.max():
-        last = off.size - 1 - int(off[::-1].argmax())
-        worst_pair = RowPair(l=int(rows[last]) + 1, k=int(cols[last]) + 1)
-    elif diagonal.max() > 0:
-        l = int(diagonal.argmax()) + 1
-        worst_pair = RowPair(l=l, k=l)
-    else:
-        worst_pair = None
-    worst = float(residual.max())
-    return PairingReport(holds=worst <= tol, worst_pair=worst_pair, worst_residual=worst)
+    worst, (l, k) = _hermitian_defect(b.entries[1:] @ a.entries[1:].conj().T)
+    return PairingReport(holds=worst <= tol, worst_pair=RowPair(l + 1, k + 1), worst_residual=worst)
 
 
 def _walsh_cross(a: WalshMatrix, b: WalshMatrix, q: int) -> np.ndarray:
@@ -193,33 +202,15 @@ def pairing_check_basis(
     All N^(2q) inner products come from one batched butterfly pass
     (:func:`_walsh_cross`): q N^(2q+1) multiplies, against N^(3q) for the
     product of two grid matrices.  ``count_multiplies`` does not count them.
-    The residual is scanned in row blocks of its upper triangle, with one
-    block-sized temporary each; the report names its first row-major maximum
-    (or NaN), as a whole-array argmax would.  The cross matrix is the one
-    N^(2q) array the check makes.
+    The residual ``|<W_l of B, W_k of A> - <W_l of A, W_k of B>|`` is the
+    Hermitian defect of the cross matrix (:func:`_hermitian_defect`), and the
+    report names its first row-major maximum (or NaN).  The cross matrix is
+    the one N^(2q) array the check makes.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
-    x = _walsh_cross(a, b, q).T  # [k, l], C-contiguous
-    width = len(x)
-    rows = max(1, _BLOCK // width)
-    worst, worst_indices = -1.0, (0, 0)
-    # <W_l of A, W_k of B> = conj(<W_k of B, W_l of A>), so the residual at
-    # [l, k] is |x[k, l] - conj(x[l, k])|.  It is exactly symmetric: swapping
-    # k and l negates the real part of the difference and keeps its imaginary
-    # part, the same sum.  So the first row-major maximum lies on or above the
-    # diagonal, and a block's entries left of it repeat ones of earlier rows.
-    for i in range(0, width, rows):
-        # one temporary per block: .conj() of a real array is a view, np.conj a copy
-        block = np.subtract(x[i:i + rows, i:], x[i:, i:i + rows].T.conj())
-        block = np.abs(block, out=block if block.dtype.kind == "f" else None)
-        flat = int(block.argmax())
-        value = float(block.flat[flat])
-        if not value <= worst:  # strictly larger, or the first NaN
-            row, col = divmod(flat, width - i)
-            worst, worst_indices = value, (i + row, i + col)
-            if value != value:
-                break
+    # x[k, l] = <W_l of B, W_k of A>, C-contiguous; its defect is the residual
+    worst, worst_indices = _hermitian_defect(_walsh_cross(a, b, q).T)
     return BasisPairingReport(holds=worst <= tol, worst_indices=worst_indices, worst_residual=worst)
 
 
@@ -367,7 +358,7 @@ def solve_companion_numeric(
     residuals = [
         np.abs(b_rows @ b_rows.conj().T - np.eye(n - 1)).max(),
         np.abs(b_rows.sum(axis=1)).max(),
-        _pairing_residual(b_rows, rows).max(),
+        _hermitian_defect(b_rows @ rows.conj().T)[0],
     ]
     if masked is not None:
         residuals += [abs((coeff * b_rows).sum() - rhs) for coeff, rhs in _masked_rows(masked, n)]

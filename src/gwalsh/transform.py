@@ -85,10 +85,10 @@ def _infer_q(base: int, length: int) -> int:
 class Signal:
     """Piecewise-constant function on [0, 1): value j on [j/N^q, (j+1)/N^q).
 
-    The N^q numbers in ``values`` are stored read-only: copied, unless they
-    are a read-only array that owns its memory and has the stored dtype.
-    Such a kept array stays the caller's own: if the caller sets its
-    ``writeable`` flag back to True, writing to it changes this signal.
+    The N^q numbers in ``values`` are stored read-only (a plain write raises
+    ValueError): copied, unless they are a read-only array that owns its
+    memory and has the stored dtype.  numpy lets any holder of the stored
+    array, copied or kept, set ``writeable`` back to True and change the signal.
     """
 
     base: int

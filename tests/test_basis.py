@@ -149,6 +149,11 @@ class TestDigits:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=20)
         assert result.returncode == 0, result.stderr
 
+    def test_base_one_rejected_in_process(self):
+        # n = 0 never enters the digit loop, so the check runs here without a hang risk
+        with pytest.raises(ValidationError, match="base must be at least 2, got 1"):
+            digit_length(0, 1)
+
 
 class TestRMap:
     def test_examples(self):

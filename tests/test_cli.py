@@ -324,6 +324,21 @@ class TestMalformedMatrix:
         assert rc == 2
         assert not out.exists()
 
+    def test_file_tol_is_not_read(self, tmp_path, capsys):
+        # every subcommand validates at --tol (default 1e-8); the file's tol
+        # applies only to load_matrix(path) called without a tol
+        half = 0.7071067811865476
+        matrix = tmp_path / "A.json"
+        matrix.write_text(json.dumps({"tol": 0.5, "entries": [[half, half], [0.65, -0.65]]}))
+        assert load_matrix(matrix).tol == 0.5
+        out = tmp_path / "c.csv"
+        args = ["encode", "--matrix", str(matrix), "--signal-inline", "01", "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("NotUnitaryError: unitarity defect")
+        assert not out.exists()
+        assert main(args + ["--tol", "0.5"]) == 0
+        assert out.exists()
+
     def test_huge_entry_one_stderr_line_with_warnings_as_errors(self, tmp_path):
         # the entry bound comes before the Gram, which would overflow and warn
         matrix = tmp_path / "A.json"

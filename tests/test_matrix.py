@@ -9,6 +9,7 @@ import reference_values as rv
 from gwalsh import (
     BadDimensionError,
     BadFirstRowError,
+    DegenerateDrawError,
     NotUnitaryError,
     OutOfRangeError,
     RowPair,
@@ -222,6 +223,16 @@ class TestGenerateRandom:
     def test_too_small(self):
         with pytest.raises(BadDimensionError):
             generate_random(1, seed=0)
+
+    def test_draws_in_the_constant_direction_are_degenerate(self, monkeypatch):
+        # every draw lies on the constant row, so Gram-Schmidt leaves nothing of it
+        class Constant:
+            def standard_normal(self, n):
+                return np.ones(n)
+
+        monkeypatch.setattr("gwalsh.matrix.seeded_rng", lambda seed: Constant())
+        with pytest.raises(DegenerateDrawError, match="after 64 attempts"):
+            generate_random(3, seed=0)
 
     @pytest.mark.parametrize("n", [MAX_N + 1, 10**19], ids=["over-limit", "past-index-range"])
     def test_too_large_rejected_at_once(self, n):

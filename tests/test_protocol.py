@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 import reference_values as rv
 from gwalsh import (
     CoefficientVector,
+    DegenerateEliminationError,
     DimensionMismatchError,
     DirectoryChannel,
     InMemoryChannel,
     NoConvergenceError,
     NoRealSolutionError,
+    RowPair,
     Signal,
     ValidationError,
     WalshMatrix,
@@ -45,6 +47,7 @@ from gwalsh.protocol import (
     BasisPairingReport,
     MaskedConstraintSystem,
     MaskedEquation,
+    PairingReport,
     _walsh_cross,
     masked_system_from_list,
     transcript_from_dict,
@@ -108,21 +111,45 @@ def row_inner(a, b, l, k):
 def loop_pairing_check(a, b, tol):
     """Oracle: the row check as a double loop over row inner products.
 
-    The pairs l < k are visited in row-major order and the last maximal one
-    is named; a diagonal pair, which binds only complex matrices, is named
-    only when it is strictly worse than every pair l < k.
+    The pairs l <= k are visited in row-major order and the first maximal
+    one is named; the diagonal pairs bind only complex matrices.
     """
-    worst_pair, worst = None, 0.0
+    worst_pair, worst = None, -1.0
     for l in range(1, a.n):
-        for k in range(l + 1, a.n):
+        for k in range(l, a.n):
             residual = abs(row_inner(a, b, l, k) - row_inner(b, a, l, k))
-            if residual >= worst:
+            if residual > worst:
                 worst_pair, worst = (l, k), float(residual)
-    for l in range(1, a.n):
-        residual = abs(row_inner(a, b, l, l) - row_inner(b, a, l, l))
-        if residual > worst:
-            worst_pair, worst = (l, l), float(residual)
     return worst <= tol, worst_pair, worst
+
+
+def whole_array_row_report(a, b, tol):
+    """Oracle: ``|X - X^H|`` for ``X = B[1:] A[1:]^H`` as one array, and its
+    first row-major argmax over the pairs l <= k."""
+    cross = b.entries[1:] @ a.entries[1:].conj().T
+    residuals = np.abs(cross - cross.conj().T)
+    upper = np.where(np.triu(np.ones(residuals.shape, dtype=bool)), residuals, -1.0)
+    l, k = divmod(int(upper.argmax()), len(upper))
+    worst = float(upper[l, k])
+    return PairingReport(holds=worst <= tol, worst_pair=RowPair(l + 1, k + 1), worst_residual=worst)
+
+
+# +-1/2 entries make every row residual exact, so pairs tie
+HALVES = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+
+
+def row_check_pair(n, complex_entries, seed, partner):
+    """A seeded matrix A and a partner of the named kind."""
+    if partner == "halves":  # A and B both carry the rows of HALVES, B's in a seeded order
+        order = np.random.default_rng(seed).permutation(3) + 1
+        return validate(HALVES, tol=1e-12), validate(HALVES[[0, *order]], tol=1e-12)
+    a = generate_random(n, seed=seed, complex_entries=complex_entries)
+    if partner == "phased":  # <B_l, A_k> vanishes for l != k: only diagonal pairs can fail
+        angles = np.random.default_rng(seed).uniform(0, 2 * np.pi, n - 1)
+        return a, phased_partner(a, np.exp(1j * angles) if complex_entries else np.sign(angles - 3))
+    return a, {"companion": lambda: solve_companion_numeric(a, seed=seed + 1),
+               "random": lambda: generate_random(n, seed=seed + 1, complex_entries=complex_entries),
+               "self": lambda: a}[partner]()
 
 
 class TestPairingRows:
@@ -150,15 +177,29 @@ class TestPairingRows:
             assert pairing_check_rows(a, partners[0], tol=1e-8).holds
             assert (n == 2 and not complex_entries) or not report.holds
 
-    def test_ties_name_the_last_pair(self):
-        # entries +-1/2 make every residual exact, so the pairs l < k tie
-        a = validate(0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
-                                     [1, -1, -1, 1]]), tol=1e-12)
+    def test_ties_name_the_first_pair(self):
+        a = validate(HALVES, tol=1e-12)
         cycled = validate(a.entries[[0, 2, 3, 1]], tol=1e-12)
-        for b, worst in ((a, 0.0), (cycled, 1.0)):
+        for b, worst, pair in ((a, 0.0, (1, 1)), (cycled, 1.0, (1, 2))):
             report = pairing_check_rows(a, b, tol=1e-8)
             assert report.worst_residual == worst
-            assert (report.worst_pair.l, report.worst_pair.k) == (2, 3)
+            assert (report.worst_pair.l, report.worst_pair.k) == pair
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 9), complex_entries=st.booleans(), seed=st.integers(0, 2**16),
+           partner=st.sampled_from(["companion", "random", "self", "phased", "halves"]))
+    @example(n=4, complex_entries=False, seed=0, partner="halves")
+    @example(n=4, complex_entries=False, seed=1, partner="self")
+    @example(n=2, complex_entries=False, seed=1, partner="random")
+    @example(n=2, complex_entries=True, seed=1, partner="phased")
+    @example(n=3, complex_entries=True, seed=4, partner="phased")
+    def test_matches_whole_array_oracle(self, n, complex_entries, seed, partner):
+        a, b = row_check_pair(n, complex_entries, seed, partner)
+        report = pairing_check_rows(a, b, tol=1e-8)
+        assert report == whole_array_row_report(a, b, tol=1e-8)
+        if partner == "phased" and complex_entries:
+            # only diagonal pairs violate, and the report names one of them
+            assert not report.holds and report.worst_pair.l == report.worst_pair.k
 
     def test_complex_diagonal_violation(self):
         # <B_1, A_1> = i is not real: only the diagonal pair (1, 1) fails
@@ -185,7 +226,7 @@ class TestPairingRows:
         report = pairing_check_rows(matrix_a, matrix_a, tol=1e-12)
         assert report.holds
         assert report.worst_residual == 0.0
-        assert (report.worst_pair.l, report.worst_pair.k) == (1, 2)
+        assert (report.worst_pair.l, report.worst_pair.k) == (1, 1)
 
     def test_reference_pair_holds(self, matrix_a, matrix_b):
         report = pairing_check_rows(matrix_a, matrix_b, tol=1e-7)
@@ -211,7 +252,7 @@ class TestPairingRows:
         b = generate_random(2, seed=1)
         report = pairing_check_rows(a, b, tol=1e-12)
         assert report.holds
-        assert report.worst_pair is None
+        assert report.worst_pair == RowPair(1, 1)
 
 
 class TestPairingBasis:
@@ -448,6 +489,13 @@ class TestSolveCompanion:
             assert b.unitarity_defect() <= 1e-10
             assert pairing_check_rows(a, b, tol=1e-10).holds
 
+    def test_last_column_without_weight(self):
+        # rows 1 and 2 end in 0: A is far from unitary, accepted only at a loose tol
+        third, half = 1 / np.sqrt(3), 1 / np.sqrt(2)
+        a = validate([[third] * 3, [half, -half, 0], [-half, half, 0]], tol=0.9)
+        with pytest.raises(DegenerateEliminationError, match="last column carries no weight"):
+            solve_companion(a, 0.1)
+
     def test_unknown_branch(self, matrix_a):
         with pytest.raises(ValidationError, match="branch must be one of"):
             solve_companion(matrix_a, 0.2, branch="up")
@@ -649,7 +697,7 @@ class TestSolveCompanionNumeric:
         assert info.value.best_residual < 1e-6  # solver got close, bar was impossible
 
     def test_certification_reads_the_pairing_residual(self, matrix_a, monkeypatch):
-        monkeypatch.setattr("gwalsh.protocol._pairing_residual", lambda b, a: np.ones((2, 2)))
+        monkeypatch.setattr("gwalsh.protocol._hermitian_defect", lambda x: (1.0, (0, 0)))
         with pytest.raises(NoConvergenceError) as info:
             solve_companion_numeric(matrix_a, seed=0)
         assert info.value.best_residual == 1.0
@@ -1074,8 +1122,12 @@ def test_one_pass_work_starts_no_thread(monkeypatch):
         assert pairing_check_basis(a, solve_companion_numeric(a, seed=n), q).holds
 
 
-def test_import_loads_no_scipy():
-    code = "import sys, gwalsh; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+def test_import_loads_no_heavy_module():
+    # importing gwalsh adds no module that costs start-up time: one uuid
+    # import once cost 8 ms of the CLI's set-up
+    heavy = ("argparse", "asyncio", "concurrent.futures", "scipy", "uuid")
+    code = ("import sys\nbefore = set(sys.modules)\nimport gwalsh\n"
+            f"print(sorted(set({heavy!r}) & (set(sys.modules) - before)))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
