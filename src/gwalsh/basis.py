@@ -194,23 +194,35 @@ def dirichlet_kernel(a: WalshMatrix, q: int, x: float, t: float):
     return _kernel_product(a, q, cell_of(x, a.n, q).j, cell_of(t, a.n, q).j)
 
 
-def grid_matrix(a: WalshMatrix, q: int) -> np.ndarray:
+def grid_matrix(a: WalshMatrix, q: int, *, _out: np.ndarray | None = None) -> np.ndarray:
     """Dense (N^q, N^q) matrix with entry [n, j] = W_n on cell j.
 
     It is the transposed view of a C-contiguous (cells, functions) running
     outer product; each entry is the left-to-right digit product of a
     Kronecker power of the m_i, bit for bit.  Each step writes its product
     in C order, so the reshape after it is a view: the only full-size array
-    is the result.
+    is the result, and the step before it holds 1/N^2 as many values.
+
+    ``_out`` is the pairing check's scratch array (:mod:`gwalsh.protocol`):
+    a flat array of at least N^(2q) values, real or complex, that the last
+    step writes into, so the result views its prefix and has its dtype.
     """
-    _width(a.n, q, MAX_GRID)
+    width = _width(a.n, q, MAX_GRID)
     factor = scaled_rows(a).T  # [cell digit, digit of n]
-    cells = factor.copy()  # C-contiguous also at q = 1
-    for _ in range(q - 1):  # each step's cell digit is less significant, its digit of n more
+    cells = factor
+    for _ in range(q - 2):  # each step's cell digit is less significant, its digit of n more
         # numpy would lay the broadcast product out in its operands' stride order
         step = np.multiply(cells[:, None, None, :], factor[None, :, :, None], order="C")
         cells = step.reshape(len(cells) * a.n, -1)
-    return cells.T
+    # allocated after the steps, the grid shares the peak only with the last of them
+    grid = np.empty(width * width, factor.dtype) if _out is None else _out[:width * width]
+    grid = grid.reshape(width, width)
+    if q == 1:
+        grid[...] = factor
+    else:  # the last step, written straight into the grid
+        np.multiply(cells[:, None, None, :], factor[None, :, :, None],
+                    out=grid.reshape(len(cells), a.n, a.n, -1))
+    return grid.T
 
 
 def gram_defect(a: WalshMatrix, q: int) -> float:

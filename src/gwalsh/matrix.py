@@ -80,9 +80,12 @@ def number_array(values, what: str) -> tuple[np.ndarray, np.dtype]:
 class WalshMatrix:
     """Validated N x N unitary matrix with constant first row.
 
-    :func:`validate` builds one from raw entries and stores them read-only: a
-    plain write raises ValueError, but numpy lets any holder set ``writeable``
-    back to True.  ``tol`` is the unitarity tolerance it checked.
+    Construction runs every check of :func:`validate` on ``entries`` at the
+    unitarity tolerance ``tol`` and stores them read-only: a plain write
+    raises ValueError, but numpy lets any holder set ``writeable`` back to
+    True.  ``WalshMatrix(n, entries, tol)`` and ``validate(entries, tol)``
+    build the same matrix, or raise the same error; a shape other than
+    (n, n) raises :class:`BadDimensionError`.
     """
 
     n: int
@@ -90,9 +93,42 @@ class WalshMatrix:
     tol: float
 
     def __post_init__(self):
-        if self.entries.shape != (self.n, self.n):
-            raise BadDimensionError(
-                f"entries shape {self.entries.shape} does not match n={self.n}"
+        tol = self.tol
+        if not 0 < tol < math.inf:
+            raise ValidationError(f"tolerance must be positive and finite, got {tol}")
+        arr, stored = number_array(self.entries, "matrix entries")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise BadDimensionError(f"entries must be square, got shape {arr.shape}")
+        if arr.shape != (self.n, self.n):
+            raise BadDimensionError(f"entries shape {arr.shape} does not match n={self.n}")
+        n = arr.shape[0]
+        first = constant_row(n)
+        arr = arr.astype(stored)
+        if stored.kind == "c" and not arr.imag.any():
+            arr = arr.real.copy()
+
+        first_dev = float(np.abs(arr[0] - first).max())
+        if not first_dev <= tol:
+            raise BadFirstRowError(
+                f"first row deviates from 1/sqrt({n}) by {first_dev:.3e} (tol {tol:.3e})"
+            )
+        arr[0] = first
+        # no unitary matrix has an entry above 1, and bounded entries keep the Gram finite
+        peak = float(np.abs(arr).max())
+        if not peak <= 1 + tol:
+            raise NotUnitaryError(f"an entry has magnitude {peak:.3e}, above 1 + tol ({tol:.3e})")
+        arr.flags.writeable = False
+        for name, value in (("n", n), ("entries", arr), ("tol", float(tol))):
+            object.__setattr__(self, name, value)
+
+        defect = self.unitarity_defect()
+        if not defect <= tol:
+            raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds tol {tol:.3e}")
+        row_sums = np.abs(arr[1:].sum(axis=1))
+        if row_sums.size and not float(row_sums.max()) <= tol:
+            raise NotUnitaryError(
+                f"row {1 + int(row_sums.argmax())} sums to {row_sums.max():.3e}, "
+                f"not 0 within tol {tol:.3e}"
             )
 
     @property
@@ -125,41 +161,10 @@ def validate(entries, tol: float = DEFAULT_EXTERNAL_TOL) -> WalshMatrix:
     :class:`ValidationError`; the others are stored as :func:`number_array`
     says, complex ones as float64 when every imaginary part is zero.  Raises
     :class:`BadDimensionError`, :class:`BadFirstRowError` or :class:`NotUnitaryError` otherwise.
+    The checks are the constructor's, with N read off the entries.
     """
-    if not 0 < tol < math.inf:
-        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
-    arr, stored = number_array(entries, "matrix entries")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise BadDimensionError(f"entries must be square, got shape {arr.shape}")
-    n = arr.shape[0]
-    first = constant_row(n)
-    arr = arr.astype(stored)
-    if stored.kind == "c" and not arr.imag.any():
-        arr = arr.real.copy()
-
-    first_dev = float(np.abs(arr[0] - first).max())
-    if not first_dev <= tol:
-        raise BadFirstRowError(
-            f"first row deviates from 1/sqrt({n}) by {first_dev:.3e} (tol {tol:.3e})"
-        )
-    arr[0] = first
-    # no unitary matrix has an entry above 1, and bounded entries keep the Gram finite
-    peak = float(np.abs(arr).max())
-    if not peak <= 1 + tol:
-        raise NotUnitaryError(f"an entry has magnitude {peak:.3e}, above 1 + tol ({tol:.3e})")
-    arr.flags.writeable = False
-    m = WalshMatrix(n=n, entries=arr, tol=float(tol))
-
-    defect = m.unitarity_defect()
-    if not defect <= tol:
-        raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds tol {tol:.3e}")
-    row_sums = np.abs(arr[1:].sum(axis=1))
-    if row_sums.size and not float(row_sums.max()) <= tol:
-        raise NotUnitaryError(
-            f"row {1 + int(row_sums.argmax())} sums to {row_sums.max():.3e}, "
-            f"not 0 within tol {tol:.3e}"
-        )
-    return m
+    arr = number_array(entries, "matrix entries")[0]
+    return WalshMatrix(n=arr.shape[0] if arr.ndim else 0, entries=arr, tol=tol)
 
 
 def generate_n3(a: float, row_choice: str = "second", branch: str = "plus") -> WalshMatrix:
@@ -292,7 +297,10 @@ def matrix_from_dict(d: dict, tol: float | None = None) -> WalshMatrix:
         raise ValidationError("matrix JSON must be an object with an 'entries' field")
     entries = json_numbers(d["entries"], "matrix entries", 2)
     declared = json_int(d["n"], "declared n") if "n" in d else None
-    file_tol = json_numbers(d.get("tol", DEFAULT_EXTERNAL_TOL), "matrix tol", 0)
+    # checked also when the caller's tol replaces it, so every reader rejects the same files
+    file_tol = json_numbers(d.get("tol", DEFAULT_EXTERNAL_TOL), "matrix tol", 0).item()
+    if not file_tol > 0:
+        raise ValidationError(f"matrix tol must be positive, got {file_tol!r}")
     m = validate(entries, tol=file_tol if tol is None else tol)
     if declared is not None and declared != m.n:
         raise ValidationError(f"declared n={d['n']} does not match entries of size {m.n}")

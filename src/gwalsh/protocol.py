@@ -44,6 +44,7 @@ import json
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,7 +84,7 @@ from .transform import (
     signal_from_text,
     signal_to_text,
 )
-from .basis import grid_matrix
+from .basis import MAX_GRID, _width, grid_matrix
 
 #: row pairing residual above which run_exchange flags the pairing as violated
 PAIRING_TOL = 1e-7
@@ -178,20 +179,43 @@ def pairing_check_rows(a: WalshMatrix, b: WalshMatrix, tol: float = 1e-8) -> Pai
     return PairingReport(holds=worst <= tol, worst_pair=RowPair(l + 1, k + 1), worst_residual=worst)
 
 
-def _walsh_cross(a: WalshMatrix, b: WalshMatrix, q: int) -> np.ndarray:
+def _walsh_cross(a: WalshMatrix, b: WalshMatrix, q: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """[l, k] = <W_l of B, W_k of A> for all l, k < N^q, by one butterfly pass.
 
     The columns of the C-contiguous (cells, N^q) array ``grid_matrix(b, q).T``
     are B's Walsh functions, and A's forward kernel analyses them all at once,
     in one pass: the grid has at most MAX_GRID cells.  From about 1000 cells
     (q >= 2) the pass has 32 blocks or more, and it splits in two halves.
-    The grid is built here, so the pass writes its result over it: the check
-    holds one N^(2q) array, or two when a complex A analyses a real B.
+    The pass writes its result over the grid.  With ``out``, a flat array of
+    at least N^(2q) values of the result's dtype, the grid is built in ``out``
+    (complex when A is, for a real B too), and the result views its prefix:
+    the call allocates no full-size array.  Without it the grid is a fresh
+    array, and the check holds one N^(2q) array, or two when a complex A
+    analyses a real B.
     """
-    cells = grid_matrix(b, q).T
+    cells = grid_matrix(b, q, _out=out).T
     # the pass writes coefficient k of column l at [k, l]
     cross = _butterfly(a, cells, q, inverse=False, overwrite=True)
     return cross.reshape(cells.shape).T
+
+
+# pairing_check_basis's scratch array, one per thread: see its docstring
+_scratch = threading.local()
+
+
+def _take_scratch(nbytes: int) -> np.ndarray:
+    """This thread's scratch bytes, grown to at least ``nbytes``, taken out of its slot.
+
+    A check that runs while another holds the array (a nested call on the
+    same thread) finds the slot empty and allocates its own.
+    """
+    array = getattr(_scratch, "array", None)
+    _scratch.array = None
+    if array is not None and array.nbytes >= nbytes:
+        return array
+    del array  # free the smaller array before the larger one is allocated
+    return np.empty(nbytes, dtype=np.uint8)
 
 
 def pairing_check_basis(
@@ -204,13 +228,28 @@ def pairing_check_basis(
     product of two grid matrices.  ``count_multiplies`` does not count them.
     The residual ``|<W_l of B, W_k of A> - <W_l of A, W_k of B>|`` is the
     Hermitian defect of the cross matrix (:func:`_hermitian_defect`), and the
-    report names its first row-major maximum (or NaN).  The cross matrix is
-    the one N^(2q) array the check makes.
+    report names its first row-major maximum (or NaN).
+
+    The cross matrix is built, analysed and scanned in one scratch array per
+    thread, of N^(2q) float64 values (complex128 when A or B is complex).  It
+    is kept between calls, sized to the largest check its thread has run (at
+    most MAX_GRID^2 complex values, 64 MiB), and freed when the thread ends.
+    A later check of that size or smaller views a prefix of it, so it
+    allocates only its grid's next-to-last step (1/N^2 of the array) and the
+    pass's and the scan's blocks of about 2^15 values.  That saves time only
+    where one process runs repeated checks; a one-shot check gains nothing.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
-    # x[k, l] = <W_l of B, W_k of A>, C-contiguous; its defect is the residual
-    worst, worst_indices = _hermitian_defect(_walsh_cross(a, b, q).T)
+    size = _width(a.n, q, MAX_GRID) ** 2
+    dtype = np.result_type(a.entries, b.entries)
+    scratch = _take_scratch(size * dtype.itemsize)
+    try:
+        # x[k, l] = <W_l of B, W_k of A>, C-contiguous; its defect is the residual
+        x = _walsh_cross(a, b, q, out=scratch[:size * dtype.itemsize].view(dtype)).T
+        worst, worst_indices = _hermitian_defect(x)
+    finally:
+        _scratch.array = scratch
     return BasisPairingReport(holds=worst <= tol, worst_indices=worst_indices, worst_residual=worst)
 
 

@@ -10,6 +10,7 @@ import pytest
 import reference_values as rv
 from gwalsh import (
     NoConvergenceError,
+    NumericError,
     ValidationError,
     basis,
     cli,
@@ -301,6 +302,26 @@ class TestMalformedCsv:
         assert not out.exists()
 
 
+def _load_outcome(path) -> int:
+    """load_matrix's outcome as the CLI's exit code: 0 loaded, 1 numeric failure, 2 invalid."""
+    try:
+        load_matrix(path)
+    except NumericError:
+        return 1
+    except ValidationError:
+        return 2
+    return 0
+
+
+def _encode_outcome(path, tmp_path) -> int:
+    """``gwalsh encode`` on the matrix file; no output file unless it exits 0."""
+    out = tmp_path / "c.csv"
+    out.unlink(missing_ok=True)
+    rc = main(["encode", "--matrix", str(path), "--signal-inline", "012", "--out", str(out)])
+    assert out.exists() == (rc == 0)
+    return rc
+
+
 class TestMalformedMatrix:
     @pytest.mark.parametrize(
         "payload",
@@ -338,6 +359,18 @@ class TestMalformedMatrix:
         assert not out.exists()
         assert main(args + ["--tol", "0.5"]) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("tol_text", ["-1", "0", "-0.0", "1e400", '"1e-8"', "[1e-8]", "1e-8"])
+    def test_cli_and_library_agree_on_the_file_tol(self, tmp_path, tol_text):
+        matrix = tmp_path / "A.json"
+        matrix.write_text(f'{{"tol": {tol_text}, "entries": {json.dumps(rv.MATRIX_A.tolist())}}}')
+        assert _load_outcome(matrix) == _encode_outcome(matrix, tmp_path) == (
+            0 if tol_text == "1e-8" else 2)
+
+    @pytest.mark.parametrize("fixture", sorted((Path(__file__).parent / "fixtures").iterdir()),
+                             ids=lambda path: path.name)
+    def test_cli_and_library_agree_on_the_fixtures(self, tmp_path, fixture):
+        assert _load_outcome(fixture) == _encode_outcome(fixture, tmp_path)
 
     def test_huge_entry_one_stderr_line_with_warnings_as_errors(self, tmp_path):
         # the entry bound comes before the Gram, which would overflow and warn

@@ -1,15 +1,19 @@
+import dataclasses
 import json
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_values as rv
 from gwalsh import (
     BadDimensionError,
     BadFirstRowError,
     DegenerateDrawError,
+    GwalshError,
     NotUnitaryError,
     OutOfRangeError,
     RowPair,
@@ -25,8 +29,15 @@ from gwalsh import (
     validate,
 )
 from gwalsh.basis import kernel_deviation
-from gwalsh.matrix import MAX_N, WalshMatrix, constant_row, matrix_from_dict, seeded_rng
-from gwalsh.protocol import mask_constraints, solve_companion_numeric
+from gwalsh.matrix import (
+    MAX_N,
+    WalshMatrix,
+    constant_row,
+    json_values,
+    matrix_from_dict,
+    seeded_rng,
+)
+from gwalsh.protocol import mask_constraints, solve_companion, solve_companion_numeric
 from gwalsh.transform import random_signal
 
 
@@ -146,6 +157,67 @@ class TestValidate:
         m = validate(rv.MATRIX_A, tol=1e-10)
         with pytest.raises(ValueError):
             m.entries[1, 1] = 0.0
+
+
+_MATRIX_CALLS = ("WalshMatrix", "WalshMatrix-wrong-n", "validate", "replace", "generate_random",
+                 "generate_n3", "solve_companion", "solve_companion_numeric",
+                 "matrix_from_dict", "matrix_from_dict-tol")
+
+
+def _matrix_call(call, n, seed, complex_entries, noise, tol, x):
+    """One public call that returns a WalshMatrix, built from the drawn inputs."""
+    good = generate_random(n, seed=seed, complex_entries=complex_entries)
+    raw = good.entries + noise * np.random.default_rng(seed).standard_normal((n, n))
+    return {
+        "WalshMatrix": lambda: WalshMatrix(n, raw, tol),
+        "WalshMatrix-wrong-n": lambda: WalshMatrix(n + 1, raw, tol),
+        "validate": lambda: validate(raw, tol),
+        "replace": lambda: dataclasses.replace(good, entries=raw),
+        "generate_random": lambda: good,
+        "generate_n3": lambda: generate_n3(x, "second" if seed % 2 else "third"),
+        "solve_companion": lambda: solve_companion(generate_n3(0.4), x, "minus"),
+        "solve_companion_numeric": lambda: solve_companion_numeric(good, seed=seed + 1),
+        "matrix_from_dict": lambda: matrix_from_dict({"tol": tol, "entries": json_values(raw)}),
+        "matrix_from_dict-tol": lambda: matrix_from_dict({"entries": json_values(raw)}, tol=tol),
+    }[call]()
+
+
+class TestEveryMatrixIsValid:
+    @settings(max_examples=150, deadline=None)
+    @given(call=st.sampled_from(_MATRIX_CALLS), n=st.integers(2, 6), seed=st.integers(0, 2**16),
+           complex_entries=st.booleans(),
+           noise=st.sampled_from([0.0, 1e-13, 1e-9, 1e-6, 1e-2, 1.0, 5.0]),
+           tol=st.sampled_from([1e-12, 1e-10, 1e-8, 1e-4, 0.5, 3.0]),
+           x=st.floats(-1.0, 1.0))
+    @example(call="WalshMatrix", n=2, seed=0, complex_entries=False, noise=5.0, tol=1e-9, x=0.0)
+    @example(call="WalshMatrix", n=3, seed=1, complex_entries=True, noise=1e-6, tol=0.5, x=0.0)
+    def test_no_public_call_returns_an_invalid_matrix(self, call, n, seed, complex_entries,
+                                                      noise, tol, x):
+        try:
+            m = _matrix_call(call, n, seed, complex_entries, noise, tol, x)
+        except GwalshError:
+            return
+        again = validate(m.entries, m.tol)
+        assert np.array_equal(again.entries, m.entries) and again.entries.dtype == m.entries.dtype
+        assert type(m.n) is int and m.entries.shape == (m.n, m.n)
+        with pytest.raises(ValueError, match="read-only"):
+            m.entries[-1, -1] = 0.0
+
+    def test_constructor_rejects_what_validate_rejects(self):
+        # unitarity defect 24.5, and its entries were writeable
+        entries = np.array([[1.0, 5.0], [3.0, -0.707]])
+        for build in (lambda: WalshMatrix(2, entries, 1e-9), lambda: validate(entries, 1e-9)):
+            with pytest.raises(BadFirstRowError, match="first row deviates"):
+                build()
+        rows = np.array([[_H, _H], [1.0, -0.707]])
+        for build in (lambda: WalshMatrix(2, rows, 1e-9), lambda: validate(rows, 1e-9)):
+            with pytest.raises(NotUnitaryError, match="unitarity defect"):
+                build()
+
+    def test_constructor_stores_what_validate_stores(self, matrix_a):
+        m = WalshMatrix(3, rv.MATRIX_A, 1e-10)
+        assert np.array_equal(m.entries, matrix_a.entries) and m.tol == matrix_a.tol
+        assert not m.entries.flags.writeable
 
 
 class TestGenerateN3:

@@ -25,7 +25,6 @@ from gwalsh import (
     RowPair,
     Signal,
     ValidationError,
-    WalshMatrix,
     generate_random,
     grid_matrix,
     load_masked_system,
@@ -352,9 +351,10 @@ class TestPairingBasis:
 
     def test_nan_entry_fails_the_check(self):
         a = generate_random(3, seed=1)
-        entries = a.entries.copy()
-        entries[2, 1] = np.nan
-        b = WalshMatrix(3, entries, a.tol)  # validate would reject it
+        # construction rejects a NaN entry; the read-only flag is not immutability
+        b = validate(a.entries, a.tol)
+        b.entries.flags.writeable = True
+        b.entries[2, 1] = np.nan
         report = pairing_check_basis(a, b, 4)
         assert not report.holds
         assert np.isnan(report.worst_residual)
@@ -372,7 +372,7 @@ class TestPairingBasis:
         lhs = np.zeros((729, 729), dtype=complex)
         for index, value in entries.items():
             lhs[index] = value
-        monkeypatch.setattr(protocol, "_walsh_cross", lambda a, b, q: lhs)
+        monkeypatch.setattr(protocol, "_walsh_cross", lambda a, b, q, out: lhs)
         a = generate_random(3, seed=1)
         assert repr(pairing_check_basis(a, a, 6)) == repr(full_array_report(lhs))
 
@@ -428,6 +428,7 @@ class TestPairingBasis:
         monkeypatch.setattr(transform, "_SPLIT_BLOCKS", sys.maxsize)  # more than any pass has
         serial = _walsh_cross(a, b, q)
         assert len(started_threads) == 1
+        assert not np.shares_memory(split, serial)  # without out, each call a fresh array
         assert split.dtype == serial.dtype
         assert np.array_equal(split, serial)
 
@@ -441,6 +442,117 @@ class TestPairingBasis:
         with count_multiplies() as counter:
             assert pairing_check_basis(a, b, 6).holds
         assert counter.count == 0
+
+
+def pairing_case(n, q, complex_entries, partner="random"):
+    """Arguments of a pairing check: A and a random B of A's kind, or of the other ("mixed")."""
+    a = generate_random(n, seed=n + q, complex_entries=complex_entries)
+    complex_b = complex_entries != (partner == "mixed")
+    return a, generate_random(n, seed=n + q + 1, complex_entries=complex_b), q
+
+
+def on_new_thread(fn):
+    """fn() on a thread of its own, which ends (and frees its scratch array) before this returns."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result()
+
+
+# the verify-suite sizes, and a complex check whose pass splits in two halves
+CONCURRENT_CASES = [(3, 6, False), (5, 4, False), (8, 3, False), (4, 5, True)]
+
+
+class TestPairingWorkspace:
+    @pytest.mark.parametrize("first,second", [
+        ((3, 6, False), (3, 6, False)),
+        ((5, 4, False), (5, 4, False)),
+        ((8, 3, False), (8, 3, False)),
+        ((4, 5, True), (4, 5, True)),
+        ((4, 5, True), (5, 4, False)),
+        ((4, 5, True), (5, 4, True)),
+        ((45, 2, False), (45, 2, False)),
+    ], ids=["3-6", "5-4", "8-3", "complex-4-5", "smaller-5-4", "smaller-complex-5-4", "45-2"])
+    @pytest.mark.parametrize("partner", ["random", "mixed"])
+    def test_later_check_allocates_no_full_array(self, first, second, partner):
+        # a later check allocates the grid's next-to-last step (1/N^2 of the
+        # array) and the pass's and scan's blocks of about 2^15 values (five
+        # at most, with the pass split in two halves); the first check, like
+        # every check before the scratch array, held 1 to 1.35 arrays
+        first_case = pairing_case(*first, partner=partner)
+        second_case = pairing_case(*second, partner=partner)
+        n, q = second[:2]
+        itemsize = np.result_type(*(m.entries for m in second_case[:2])).itemsize
+        full = n ** (2 * q) * itemsize
+
+        def run():
+            pairing_check_basis(*first_case)
+            tracemalloc.start()
+            try:
+                report = pairing_check_basis(*second_case)
+                return report, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        report, peak = on_new_thread(run)
+        assert report == pairing_check_basis(*second_case)
+        assert peak <= itemsize * (n ** (2 * q - 2) + 6 * transform._BLOCK)
+        assert peak < full / 2
+        if n**q > 2000:  # the blocks are small beside a 45^4 array
+            assert peak < full / 10
+
+    def test_scratch_is_kept_and_freed_with_its_thread(self):
+        case = pairing_case(4, 5, True)
+        full = 4**10 * 16
+        tracemalloc.start()
+        try:
+            kept = on_new_thread(lambda: (pairing_check_basis(*case),
+                                          tracemalloc.get_traced_memory()[0])[1])
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept >= full
+        assert left < 0.1 * full
+
+    def test_threads_match_serial_runs(self):
+        # each thread runs every size, in its own order, so each grows its own
+        # scratch array and views prefixes of it while the others run
+        cases = [pairing_case(*c) for c in CONCURRENT_CASES]
+        serial = [pairing_check_basis(*case) for case in cases]
+        barrier = threading.Barrier(len(cases))
+
+        def run(shift):
+            order = [(shift + i) % len(cases) for i in range(2 * len(cases))]
+            barrier.wait(timeout=60)
+            return [(i, pairing_check_basis(*cases[i])) for i in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads change over between the pass's blocks
+        try:
+            with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+                results = list(pool.map(run, range(len(cases)), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == len(cases)
+        for runs in results:
+            for i, report in runs:
+                assert repr(report) == repr(serial[i])
+
+    def test_nested_check_does_not_share_the_scratch(self, monkeypatch):
+        # a check that starts while another on the same thread holds the array
+        # must not write over it
+        outer_case, inner_case = pairing_case(3, 6, False), pairing_case(5, 4, False)
+        expected = pairing_check_basis(*outer_case), pairing_check_basis(*inner_case)
+        scan = protocol._hermitian_defect
+        inner = []
+
+        def scan_after_a_nested_check(x):
+            if not inner:
+                inner.append(None)  # so the nested check's own scan runs plainly
+                inner[0] = pairing_check_basis(*inner_case)
+            return scan(x)
+
+        monkeypatch.setattr(protocol, "_hermitian_defect", scan_after_a_nested_check)
+        assert pairing_check_basis(*outer_case) == expected[0]
+        assert inner == [expected[1]]
 
 
 class TestSolveCompanion:
