@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from pathlib import Path
 
 from . import basis, protocol
 from .errors import NumericError, ValidationError
-from .matrix import generate_n3, generate_random, load_matrix, save_matrix
+from .matrix import generate_n3, generate_random, load_matrix, save_matrix, write_json
 from .protocol import (
     mask_constraints,
     pairing_check_basis,
@@ -29,8 +27,9 @@ from .protocol import (
     solve_companion,
     solve_companion_numeric,
 )
-from .series import CSV_DIGITS, convergence_sweep, martingale_check, write_sweep_csv
+from .series import convergence_sweep, martingale_check, write_sweep_csv
 from .transform import (
+    CSV_DIGITS,
     dwt_fast,
     idwt,
     random_signal,
@@ -154,14 +153,6 @@ def _load_signal(args, base: int):
     raise ValidationError("provide --signal or --signal-inline")
 
 
-def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
-
-
 def cmd_gen_matrix(args) -> int:
     if args.entry is not None:
         _reject_unread(args, "--entry", "seed", "complex")
@@ -233,7 +224,7 @@ def cmd_kernel_check(args) -> int:
     a = load_matrix(args.matrix, tol=args.tol)
     deviation = basis.kernel_deviation(a, args.q, samples=args.samples, seed=args.seed)
     passed = deviation <= args.tol
-    _write_json(
+    write_json(
         {
             "n": a.n,
             "q": args.q,
@@ -243,7 +234,7 @@ def cmd_kernel_check(args) -> int:
             "tol": args.tol,
             "pass": passed,
         },
-        args.out,
+        args.out or None,
     )
     if not passed:
         print(f"kernel-check failed: max_deviation={deviation:.3e}", file=sys.stderr)
@@ -279,7 +270,7 @@ def cmd_verify(args) -> int:
     failing = sorted(name for name, value in checks.items() if not value <= args.tol)  # NaN fails
     report["pass"] = not failing
     report["failing"] = failing
-    _write_json(report, args.out)
+    write_json(report, args.out or None)
     if failing:
         print("verify failed: " + ", ".join(failing), file=sys.stderr)
         return 1

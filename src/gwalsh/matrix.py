@@ -4,7 +4,8 @@ A Walsh-generating matrix is an N x N unitary matrix (N >= 2) whose first
 row is constantly 1/sqrt(N).  Every such matrix induces an orthonormal
 system of step functions on [0, 1), built in :mod:`gwalsh.basis`.  This
 module constructs, validates, serializes and randomly generates these
-matrices.
+matrices.  :func:`read_json` and :func:`write_json` read and write every
+JSON file of the package.
 
 Conventions fixed project-wide:
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Number
 from pathlib import Path
@@ -308,7 +310,7 @@ def matrix_from_dict(d: dict, tol: float | None = None) -> WalshMatrix:
 
 
 def save_matrix(m: WalshMatrix, path) -> None:
-    Path(path).write_text(json.dumps(matrix_to_dict(m), indent=2) + "\n")
+    write_json(matrix_to_dict(m), path)
 
 
 def read_text(path, kind: str) -> str:
@@ -325,6 +327,15 @@ def read_json(path, kind: str):
         return json.loads(read_text(path, kind))
     except (json.JSONDecodeError, RecursionError) as e:  # deep nesting exhausts the decoder
         raise ValidationError(f"malformed {kind} JSON in {path}: {e}") from e
+
+
+def write_json(payload, path=None) -> None:
+    """Write ``payload`` as JSON indented by 2, with a final newline, to ``path`` or to stdout."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
 
 
 def load_matrix(path, tol: float | None = None) -> WalshMatrix:

@@ -32,18 +32,16 @@ back from the published system up to sign.
 
 Exchange messages pass through a channel, which serializes each
 message on ``put`` and decodes and checks it on ``get``, so each step
-crosses a real serialization boundary.  Each channel owns its encoding:
-:class:`InMemoryChannel` keeps a small binary header and the raw values,
-:class:`DirectoryChannel` writes the CSV wire formats of
-:mod:`gwalsh.transform`.  Both round-trip every message bit-exactly.
+crosses a real serialization boundary.  The channels only carry messages
+in the formats of :mod:`gwalsh.transform`: :class:`InMemoryChannel` its
+binary wire, :class:`DirectoryChannel` its CSV.  Both round-trip every
+message bit-exactly.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,18 +69,19 @@ from .matrix import (
     read_text,
     seeded_rng,
     validate,
+    write_json,
 )
 from .transform import (
     _BLOCK,
     CoefficientVector,
     Signal,
     _butterfly,
-    coefficients_from_text,
-    coefficients_to_text,
+    _message_from_bytes,
+    _message_to_bytes,
     dwt_fast,
     idwt,
-    signal_from_text,
-    signal_to_text,
+    message_from_text,
+    message_to_text,
 )
 from .basis import MAX_GRID, _width, grid_matrix
 
@@ -415,52 +414,10 @@ def solve_companion_numeric(
 # ---------------------------------------------------------------------------
 
 
-def _message_kind(message) -> str:
-    if isinstance(message, Signal):
-        return "signal"
-    if isinstance(message, CoefficientVector):
-        return "coeffs"
-    raise TypeError(f"a channel carries Signal and CoefficientVector messages, "
-                    f"not {type(message).__name__}")
-
-
-# binary wire: kind code, dtype code, N and q as little-endian int64, then the values
-_WIRE_HEADER = struct.Struct("<ccqq")
-_WIRE_KINDS = {b"s": Signal, b"c": CoefficientVector}
-_WIRE_DTYPES = {b"f": np.dtype("<f8"), b"c": np.dtype("<c16")}
-
-
-def _message_to_bytes(message) -> bytes:
-    is_signal = _message_kind(message) == "signal"
-    values = message.values if is_signal else message.coeffs
-    code = b"c" if np.iscomplexobj(values) else b"f"
-    header = _WIRE_HEADER.pack(b"s" if is_signal else b"c", code, message.base, message.q)
-    return header + values.astype(_WIRE_DTYPES[code], copy=False).tobytes()
-
-
-def _message_from_bytes(payload: bytes):
-    if len(payload) < _WIRE_HEADER.size:
-        raise ValidationError(f"message of {len(payload)} bytes is shorter than its header")
-    kind_code, code, base, q = _WIRE_HEADER.unpack_from(payload)
-    if kind_code not in _WIRE_KINDS or code not in _WIRE_DTYPES:
-        raise ValidationError(f"unknown message kind {kind_code!r} or dtype code {code!r}")
-    dtype = _WIRE_DTYPES[code]
-    if (len(payload) - _WIRE_HEADER.size) % dtype.itemsize:
-        raise ValidationError(f"message body is not a whole number of {dtype} values")
-    values = np.frombuffer(payload, dtype=dtype, offset=_WIRE_HEADER.size)
-    if not np.isfinite(values).all():
-        raise ValidationError("non-finite value in a message")
-    return _WIRE_KINDS[kind_code](base, q, values)  # checks N >= 2, q >= 0 and N^q values
-
-
 class InMemoryChannel:
-    """Message channel that keeps each message as bytes in process memory.
+    """Message channel that keeps each message's wire bytes in process memory.
 
-    A message is stored as an 18-byte header (kind, dtype code, N, q)
-    followed by its values as little-endian float64 or complex128, and is
-    decoded and checked again on every ``get``: a malformed payload (a
-    bad header, a value count other than N^q, a non-finite value) raises
-    :class:`ValidationError`.  The bytes never reach the disk.
+    Every ``get`` decodes and checks them again; the bytes never reach the disk.
     """
 
     def __init__(self):
@@ -476,9 +433,8 @@ class InMemoryChannel:
 class DirectoryChannel:
     """Message channel backed by files in a directory (one file per message).
 
-    Each file holds the library CSV of :mod:`gwalsh.transform` at ``repr``
-    precision, so it re-parses bit-exactly; ``get`` decodes by the kind
-    named in its header.
+    Each file holds a message's CSV at ``repr`` precision, so it re-parses
+    bit-exactly; ``get`` reads the kind its header names.
     """
 
     def __init__(self, directory):
@@ -486,8 +442,7 @@ class DirectoryChannel:
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def put(self, name: str, message) -> None:
-        text = (signal_to_text(message) if _message_kind(message) == "signal"
-                else coefficients_to_text(message))
+        text = message_to_text(message)
         # write a unique temp file, then rename: a reader sees the old or new message whole
         tmp = self.directory / f".{name}.{os.urandom(8).hex()}.tmp"
         try:
@@ -497,11 +452,7 @@ class DirectoryChannel:
             tmp.unlink(missing_ok=True)
 
     def get(self, name: str):
-        text = read_text(self.directory / name, "message")
-        head = text.split(maxsplit=3)
-        if head[2:3] == ["signal"]:
-            return signal_from_text(text)
-        return coefficients_from_text(text)  # raises on any other header
+        return message_from_text(read_text(self.directory / name, "message"))
 
 
 def run_exchange(
@@ -528,7 +479,7 @@ def run_exchange(
         channel.put(name, message)
         received = channel.get(name)
         if type(received) is not type(message):
-            raise ValidationError(f"message {name} arrived as a {_message_kind(received)} message")
+            raise ValidationError(f"message {name} arrived as a {type(received).__name__}")
         return received
 
     w1 = relay("w1.csv", dwt_fast(a, s))
@@ -586,7 +537,7 @@ def transcript_from_dict(d: dict) -> ExchangeTranscript:
 
 
 def save_transcript(t: ExchangeTranscript, path) -> None:
-    Path(path).write_text(json.dumps(transcript_to_dict(t), indent=2) + "\n")
+    write_json(transcript_to_dict(t), path)
 
 
 def load_transcript(path) -> ExchangeTranscript:
@@ -618,7 +569,7 @@ def masked_system_from_list(raw) -> MaskedConstraintSystem:
 
 
 def save_masked_system(m: MaskedConstraintSystem, path) -> None:
-    Path(path).write_text(json.dumps(masked_system_to_list(m), indent=2) + "\n")
+    write_json(masked_system_to_list(m), path)
 
 
 def load_masked_system(path) -> MaskedConstraintSystem:

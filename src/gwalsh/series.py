@@ -31,12 +31,10 @@ from .errors import (
     ZeroSignalError,
 )
 from .matrix import WalshMatrix
-from .transform import CoefficientVector, Signal, dwt_fast, idwt
+from .transform import CSV_DIGITS, CoefficientVector, Signal, _float_format, dwt_fast, idwt
 
 #: refuse common-refinement grids larger than this many cells
 MAX_COMMON_CELLS = 5_000_000
-#: significant digits for floats in the sweep CSV and in every CLI-written CSV file
-CSV_DIGITS = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,9 +213,10 @@ def convergence_sweep(
 
 def sweep_to_csv(reports: list[PartialSumReport]) -> str:
     lines = ["k,sup_error,l1_error,l2_error"]
+    field = _float_format(CSV_DIGITS)
     for r in reports:
         errors = (r.sup_error, r.l1_error, r.l2_error)
-        lines.append(",".join([str(r.k)] + [f"{e:.{CSV_DIGITS}g}" for e in errors]))
+        lines.append(",".join([str(r.k), *map(field.format, errors)]))
     return "\n".join(lines) + "\n"
 
 

@@ -30,10 +30,15 @@ The inverse transform synthesizes v_j = sum_n c_n * W_n(cell j) with the
 transposed stage structure.  For a unitary matrix this is the exact
 inverse of the forward transform; for an approximately unitary matrix it
 is still the synthesis operator (no numerical matrix inversion).
+
+Both message formats of :class:`Signal` and :class:`CoefficientVector`
+live here too: the CSV (:func:`message_to_text`, :func:`message_from_text`)
+and the binary wire, with the one float rule of every CSV file.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -332,22 +337,50 @@ def parseval_residual(a: WalshMatrix, s: Signal) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV wire format: header "# gwalsh <kind> N=<n> q=<q>", one value per line,
-# complex values as a "re,im" pair.  Values are read only in the ASCII
-# spellings that repr() and the "g" format write.
+# Message formats.  One kind table names the two message types for both.
+# CSV: header "# gwalsh <kind> N=<n> q=<q>", then one value per line, every
+# line a real number or every line a complex "re,im" pair.  Values are read
+# only in the ASCII spellings that repr() and the "g" format write.
+# Binary wire: the kind's first letter, a dtype code, N and q as
+# little-endian int64, then the values.
 # ---------------------------------------------------------------------------
 
+#: significant digits for floats in every CSV file the CLI writes, the sweep CSV too
+CSV_DIGITS = 12
+
+# kind name -> message type and the field holding its N^q values
+_KINDS = {"signal": (Signal, "values"), "coeffs": (CoefficientVector, "coeffs")}
 _HEADER = "# gwalsh {kind} N={base} q={q}"
+_WIRE_HEADER = struct.Struct("<ccqq")
+_WIRE_DTYPES = {b"f": np.dtype("<f8"), b"c": np.dtype("<c16")}
 
 
-def _values_to_text(values: np.ndarray, kind: str, base: int, q: int,
-                    digits: int | None = None) -> str:
-    field = "{!r}" if digits is None else f"{{:.{digits}g}}"
+def _message_kind(message) -> tuple[str, np.ndarray]:
+    """A message's kind name and its N^q values; anything but a message raises TypeError."""
+    for kind, (cls, field) in _KINDS.items():
+        if isinstance(message, cls):
+            return kind, getattr(message, field)
+    raise TypeError(f"a message is a Signal or a CoefficientVector, not {type(message).__name__}")
+
+
+def _float_format(digits: int | None) -> str:
+    """The format of one float: its shortest round-trip repr, or ``digits`` significant digits."""
+    if digits is None:
+        return "{!r}"
+    if isinstance(digits, bool) or not isinstance(digits, int) or digits < 1:
+        raise ValidationError(f"digits must be an integer >= 1 or None, got {digits!r}")
+    return f"{{:.{digits}g}}"
+
+
+def message_to_text(message, digits: int | None = None) -> str:
+    """The CSV of a Signal or CoefficientVector, values as ``_float_format(digits)`` writes them."""
+    kind, values = _message_kind(message)
+    field = _float_format(digits)
     if np.iscomplexobj(values):
         lines = map(f"{field},{field}".format, values.real.tolist(), values.imag.tolist())
     else:
         lines = map(field.format, values.tolist())
-    return "\n".join([_HEADER.format(kind=kind, base=base, q=q), *lines]) + "\n"
+    return "\n".join([_HEADER.format(kind=kind, base=message.base, q=message.q), *lines]) + "\n"
 
 
 def _number_text(text: str) -> bool:
@@ -370,14 +403,17 @@ def _parse_value(line: str):
         raise ValidationError(f"bad value line: {line!r}") from None
 
 
-def _values_from_text(text: str, kind: str) -> tuple[int, int, np.ndarray]:
+def message_from_text(text: str, kind: str | None = None):
+    """The message a CSV text holds: of ``kind``, or of the kind its header names."""
+    kinds = _KINDS if kind is None else {kind: _KINDS[kind]}
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValidationError("empty signal/coefficient file")
     head = lines[0].split()
-    if len(head) != 5 or head[:3] != ["#", "gwalsh", kind] or (
+    if len(head) != 5 or head[:2] != ["#", "gwalsh"] or head[2] not in kinds or (
             head[3][:2], head[4][:2]) != ("N=", "q="):
-        raise ValidationError(f"bad header for a gwalsh {kind} file: {lines[0]!r}")
+        raise ValidationError(
+            f"bad header for a gwalsh {' or '.join(kinds)} file: {lines[0]!r}")
     try:
         fields = (head[3][2:], head[4][2:])
         # int() also reads "+3", "0_3" and non-ASCII digits, which the writers never emit
@@ -394,48 +430,56 @@ def _values_from_text(text: str, kind: str) -> tuple[int, int, np.ndarray]:
             raise ValueError
         arr = np.fromiter(map(float, body), dtype=float, count=len(body))
     except ValueError:  # complex pairs, or a bad line to report
-        arr = np.asarray([_parse_value(line) for line in body])
+        values = [_parse_value(line) for line in body]
+        if len(set(map(type, values))) > 1:
+            raise ValidationError(f"gwalsh {head[2]} values mix real numbers and re,im pairs")
+        arr = np.asarray(values)
     if arr.shape[0] != cell_count(base, q):
         raise ValidationError(
             f"header declares N^q = {base}^{q} values, file contains {arr.shape[0]}"
         )
     if not np.isfinite(arr).all():
-        raise ValidationError(f"non-finite value in a gwalsh {kind} file")
-    return base, q, arr
+        raise ValidationError(f"non-finite value in a gwalsh {head[2]} file")
+    return _KINDS[head[2]][0](base, q, arr)
 
 
-def signal_to_text(s: Signal, digits: int | None = None) -> str:
-    return _values_to_text(s.values, "signal", s.base, s.q, digits)
+def _message_to_bytes(message) -> bytes:
+    kind, values = _message_kind(message)
+    code = b"c" if np.iscomplexobj(values) else b"f"
+    header = _WIRE_HEADER.pack(kind[:1].encode(), code, message.base, message.q)
+    return header + values.astype(_WIRE_DTYPES[code], copy=False).tobytes()
 
 
-def signal_from_text(text: str) -> Signal:
-    base, q, values = _values_from_text(text, "signal")
-    return Signal(base=base, q=q, values=values)
-
-
-def coefficients_to_text(c: CoefficientVector, digits: int | None = None) -> str:
-    return _values_to_text(c.coeffs, "coeffs", c.base, c.q, digits)
-
-
-def coefficients_from_text(text: str) -> CoefficientVector:
-    base, q, values = _values_from_text(text, "coeffs")
-    return CoefficientVector(base=base, q=q, coeffs=values)
+def _message_from_bytes(payload: bytes):
+    if len(payload) < _WIRE_HEADER.size:
+        raise ValidationError(f"message of {len(payload)} bytes is shorter than its header")
+    kind_code, code, base, q = _WIRE_HEADER.unpack_from(payload)
+    kind = next((kind for kind in _KINDS if kind[:1].encode() == kind_code), None)
+    if kind is None or code not in _WIRE_DTYPES:
+        raise ValidationError(f"unknown message kind {kind_code!r} or dtype code {code!r}")
+    dtype = _WIRE_DTYPES[code]
+    if (len(payload) - _WIRE_HEADER.size) % dtype.itemsize:
+        raise ValidationError(f"message body is not a whole number of {dtype} values")
+    values = np.frombuffer(payload, dtype=dtype, offset=_WIRE_HEADER.size)
+    if not np.isfinite(values).all():
+        raise ValidationError("non-finite value in a message")
+    return _KINDS[kind][0](base, q, values)  # checks N >= 2, q >= 0 and N^q values
 
 
 def write_signal(s: Signal, path, digits: int | None = None) -> None:
-    Path(path).write_text(signal_to_text(s, digits))
+    Path(path).write_text(message_to_text(s, digits))
 
 
 def read_signal(path) -> Signal:
-    return signal_from_text(read_text(path, "signal"))
+    return message_from_text(read_text(path, "signal"), "signal")
 
 
 def write_coefficients(c: CoefficientVector, path, digits: int | None = None) -> None:
-    Path(path).write_text(coefficients_to_text(c, digits))
+    Path(path).write_text(message_to_text(c, digits))
 
 
 def read_coefficients(path) -> CoefficientVector:
-    return coefficients_from_text(read_text(path, "coefficient"))
+    return message_from_text(read_text(path, "coefficient"), "coeffs")
 
 
 def random_signal(base: int, q: int, seed: int, complex_values: bool = False) -> Signal:

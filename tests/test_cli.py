@@ -280,9 +280,11 @@ class TestMalformedCsv:
             "# gwalsh signal N=0_3 q=1\n0\n1\n2\n",
             "# gwalsh signal N=\u0663 q=1\n0\n1\n2\n",
             "# gwalsh signal N=+3 q=1\n0\n1\n2\n",
+            # bare numbers and re,im pairs in one body
+            "# gwalsh signal N=3 q=1\n0\n1,2\n1\n",
         ],
         ids=["N=x", "N=1", "N=0", "q=-1", "nan", "underscore", "spaced-pair", "arabic-digit",
-             "huge-q", "header-underscore", "header-arabic-digit", "header-plus"],
+             "huge-q", "header-underscore", "header-arabic-digit", "header-plus", "mixed-lines"],
     )
     def test_encode_exit_two(self, tmp_path, matrix_a_file, text):
         signal = tmp_path / "f.csv"
@@ -421,6 +423,18 @@ def test_superscript_inline_signal_exit_two(tmp_path, matrix_a_file):
                "--out", str(out)])
     assert rc == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["verify", "--q", "2", "--samples", "200"],
+                                  ["kernel-check", "--q", "3", "--samples", "200"]],
+                         ids=["verify", "kernel-check"])
+def test_report_on_stdout_is_the_out_file(tmp_path, matrix_a_file, capsys, argv):
+    out = tmp_path / "report.json"
+    argv = argv + ["--matrix", matrix_a_file]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 class TestVerify:

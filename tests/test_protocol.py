@@ -55,13 +55,11 @@ from gwalsh.protocol import (
 from gwalsh.transform import (
     _butterfly,
     _digit_groups,
-    coefficients_from_text,
-    coefficients_to_text,
     count_multiplies,
+    message_from_text,
+    message_to_text,
     read_coefficients,
     read_signal,
-    signal_from_text,
-    signal_to_text,
 )
 
 # bound on the batched pass's distance from the dense product of the grid
@@ -1059,9 +1057,7 @@ def test_every_number_type_crosses_each_channel_exactly(tmp_path, cls, dtype):
     message = cls(3, 2, _typed_values(dtype))
     stored = _cells(message)
     assert stored.dtype == (np.complex128 if np.iscomplexobj(stored) else np.float64)
-    to_text, from_text = ((signal_to_text, signal_from_text) if cls is Signal
-                          else (coefficients_to_text, coefficients_from_text))
-    received = [from_text(to_text(message))]
+    received = [message_from_text(message_to_text(message))]
     for channel in (InMemoryChannel(), DirectoryChannel(tmp_path)):
         channel.put("m", message)
         received.append(channel.get("m"))

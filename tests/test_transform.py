@@ -33,13 +33,10 @@ from gwalsh import (
 from gwalsh import transform
 from gwalsh.basis import scaled_rows
 from gwalsh.transform import (
-    _values_from_text,
-    coefficients_from_text,
-    coefficients_to_text,
+    message_from_text,
+    message_to_text,
     read_coefficients,
     read_signal,
-    signal_from_text,
-    signal_to_text,
     write_coefficients,
     write_signal,
 )
@@ -804,11 +801,11 @@ class TestCpuCount:
 
 class TestSerialization:
     def test_signal_header(self, signal_f):
-        text = signal_to_text(signal_f)
+        text = message_to_text(signal_f)
         assert text.splitlines()[0] == "# gwalsh signal N=3 q=3"
 
     def test_coeffs_header(self, matrix_a, signal_f):
-        text = coefficients_to_text(dwt_fast(matrix_a, signal_f))
+        text = message_to_text(dwt_fast(matrix_a, signal_f))
         assert text.splitlines()[0] == "# gwalsh coeffs N=3 q=3"
 
     def test_signal_round_trip_exact(self, tmp_path):
@@ -834,29 +831,39 @@ class TestSerialization:
 
     def test_limited_digits(self):
         s = Signal.from_values(2, [1 / 3, 2 / 3])
-        text = signal_to_text(s, digits=12)
+        text = message_to_text(s, digits=12)
         assert text.splitlines()[1] == "0.333333333333"
+
+    @pytest.mark.parametrize("digits", ["3", 0, -1, 1.5, True, False, np.int64(3)],
+                             ids=["str", "zero", "negative", "float", "true", "false", "numpy-int"])
+    def test_digits_must_be_a_positive_int(self, tmp_path, digits):
+        s = Signal.from_values(2, [1 / 3, 2 / 3])
+        with pytest.raises(ValidationError, match="digits"):
+            message_to_text(s, digits)
+        with pytest.raises(ValidationError, match="digits"):
+            write_signal(s, tmp_path / "s.csv", digits=digits)
+        assert not (tmp_path / "s.csv").exists()
 
     def test_kind_mismatch(self, signal_f):
         with pytest.raises(ValidationError):
-            coefficients_from_text(signal_to_text(signal_f))
+            message_from_text(message_to_text(signal_f), "coeffs")
 
     def test_bad_header(self):
         with pytest.raises(ValidationError):
-            signal_from_text("# something else\n0\n")
+            message_from_text("# something else\n0\n", "signal")
 
     def test_wrong_count(self):
         with pytest.raises(ValidationError):
-            signal_from_text("# gwalsh signal N=3 q=1\n0\n1\n")
+            message_from_text("# gwalsh signal N=3 q=1\n0\n1\n", "signal")
 
     def test_overflowing_value(self):
         # float() reads 1e999 as inf, in the characters the writers emit
         with pytest.raises(ValidationError, match="non-finite value"):
-            signal_from_text("# gwalsh signal N=2 q=1\n1e999\n0\n")
+            message_from_text("# gwalsh signal N=2 q=1\n1e999\n0\n", "signal")
 
     def test_bad_value(self):
         with pytest.raises(ValidationError):
-            signal_from_text("# gwalsh signal N=2 q=0\nhello\n")
+            message_from_text("# gwalsh signal N=2 q=0\nhello\n", "signal")
 
     @pytest.mark.parametrize(
         "text",
@@ -875,23 +882,26 @@ class TestSerialization:
             "# gwalsh signal N=0_2 q=1\n0\n1\n",
             "# gwalsh signal N=\u0662 q=1\n0\n1\n",
             "# gwalsh signal N=+2 q=1\n0\n1\n",
+            # every line a number or every line a re,im pair, as in the JSON formats
+            "# gwalsh signal N=2 q=1\n1.0\n2.0,3.0\n",
+            "# gwalsh signal N=2 q=1\n2.0,3.0\n1.0\n",
         ],
         ids=["N=x", "q=y", "N=1", "N=0", "q=-1", "nan", "complex-inf", "underscore",
              "spaced-pair", "arabic-digit", "header-underscore", "header-arabic-digit",
-             "header-plus"],
+             "header-plus", "mixed-real-first", "mixed-pair-first"],
     )
     def test_malformed_header_or_value(self, text):
         with pytest.raises(ValidationError):
-            signal_from_text(text)
+            message_from_text(text, "signal")
         with pytest.raises(ValidationError):
-            coefficients_from_text(text.replace("signal", "coeffs"))
+            message_from_text(text.replace("signal", "coeffs"), "coeffs")
 
 
 @settings(max_examples=30)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=8, max_size=8))
 def test_text_round_trip_property(values):
     s = Signal.from_values(2, values)
-    assert np.array_equal(signal_from_text(signal_to_text(s)).values, s.values)
+    assert np.array_equal(message_from_text(message_to_text(s), "signal").values, s.values)
 
 
 # ---------------------------------------------------------------------------
@@ -916,6 +926,8 @@ def _oracle_values_to_text(values, kind, base, q, digits=None):
 
 
 def _oracle_values_from_text(text, kind):
+    """(kind, base, q, values) of a CSV text; with kind None, of the kind its header names."""
+    kinds = ["signal", "coeffs"] if kind is None else [kind]
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValidationError("empty signal/coefficient file")
@@ -923,11 +935,12 @@ def _oracle_values_from_text(text, kind):
     if (
         len(head) != 5
         or head[:2] != ["#", "gwalsh"]
-        or head[2] != kind
+        or head[2] not in kinds
         or not head[3].startswith("N=")
         or not head[4].startswith("q=")
     ):
-        raise ValidationError(f"bad header for a gwalsh {kind} file: {lines[0]!r}")
+        raise ValidationError(f"bad header for a gwalsh {' or '.join(kinds)} file: {lines[0]!r}")
+    kind = head[2]
     try:
         for field in (head[3][2:], head[4][2:]):
             if not re.fullmatch(r"-?[0-9]+", field):  # only what the writers emit
@@ -952,6 +965,8 @@ def _oracle_values_from_text(text, kind):
                 raise ValueError(line)
         except ValueError:
             raise ValidationError(f"bad value line: {line!r}") from None
+    if len({type(v) for v in values}) > 1:  # every line real, or every line a pair
+        raise ValidationError(f"gwalsh {kind} values mix real numbers and re,im pairs")
     arr = np.asarray(values)
     if arr.shape[0] != base**q:
         raise ValidationError(
@@ -959,7 +974,7 @@ def _oracle_values_from_text(text, kind):
         )
     if not np.isfinite(arr).all():
         raise ValidationError(f"non-finite value in a gwalsh {kind} file")
-    return base, q, arr
+    return kind, base, q, arr
 
 
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -983,9 +998,9 @@ def _cell_arrays(draw):
 @given(_cell_arrays(), st.sampled_from([None, *range(1, 18)]))
 def test_formatter_matches_per_value_oracle(cells, digits):
     q, values = cells
-    assert signal_to_text(Signal(2, q, values), digits) == _oracle_values_to_text(
+    assert message_to_text(Signal(2, q, values), digits) == _oracle_values_to_text(
         values, "signal", 2, q, digits)
-    assert coefficients_to_text(CoefficientVector(2, q, values), digits) == (
+    assert message_to_text(CoefficientVector(2, q, values), digits) == (
         _oracle_values_to_text(values, "coeffs", 2, q, digits))
 
 
@@ -993,7 +1008,7 @@ def test_formatter_matches_per_value_oracle(cells, digits):
 def test_formatter_matches_oracle_for_other_dtypes(dtype):
     values = np.array([0.1, -0.0, 1e-30, 3.0], dtype=dtype)
     for digits in (None, 12):
-        assert signal_to_text(Signal(2, 2, values), digits) == _oracle_values_to_text(
+        assert message_to_text(Signal(2, 2, values), digits) == _oracle_values_to_text(
             Signal(2, 2, values).values, "signal", 2, 2, digits)
 
 
@@ -1033,17 +1048,31 @@ def _csv_texts(draw):
 
 def _parse_outcome(parse, text, kind):
     try:
-        base, q, arr = parse(text, kind)
+        message = parse(text, kind)
     except ValidationError as exc:
         return "ValidationError", str(exc)
-    return base, q, arr.dtype.str, arr.tobytes()
+    cells = message.values if isinstance(message, Signal) else message.coeffs
+    return type(message), message.base, message.q, cells.dtype.str, cells.tobytes()
+
+
+def _oracle_message(text, kind):
+    kind, base, q, arr = _oracle_values_from_text(text, kind)
+    return (Signal if kind == "signal" else CoefficientVector)(base, q, arr)
 
 
 @settings(max_examples=500)
-@given(st.one_of(_csv_texts(), st.text(max_size=40)), st.sampled_from(["signal", "coeffs"]))
+@given(st.one_of(_csv_texts(), st.text(max_size=40)),
+       st.sampled_from(["signal", "coeffs", None]))
 @example("# gwalsh signal N=2 q=1\n1.5,-0.0\n\n  -0.0  \n", "signal")
 @example("# gwalsh signal N=2 q=1\n1,2,3\n4\n", "signal")
 @example("# gwalsh coeffs N=3 q=1\n-0.0\n5e-324\n-1.7976931348623157e+308\n", "coeffs")
+# a body of bare numbers and re,im pairs is neither kind of body
+@example("# gwalsh signal N=2 q=1\n1.0\n2.0,3.0\n", "signal")
+@example("# gwalsh coeffs N=2 q=1\n2.0,3.0\n1.0\n", None)
+# with no kind, the header names it; with a kind, the other kind's header is rejected
+@example("# gwalsh coeffs N=2 q=1\n1.0\n-0.0\n", None)
+@example("# gwalsh signal N=2 q=1\n1.0,0.5\n-0.0,2\n", None)
+@example("# gwalsh coeffs N=2 q=1\n1.0\n-0.0\n", "signal")
 def test_parser_matches_per_line_oracle(text, kind):
-    assert _parse_outcome(_values_from_text, text, kind) == _parse_outcome(
-        _oracle_values_from_text, text, kind)
+    assert _parse_outcome(message_from_text, text, kind) == _parse_outcome(
+        _oracle_message, text, kind)
