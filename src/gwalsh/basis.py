@@ -72,12 +72,8 @@ def digits(n: int, base: int, pad_to: int | None = None) -> tuple[int, ...]:
 
 
 def r_map(x: float, base: int) -> float:
-    """One step of the base-N shift, r(x) = (N x) mod 1, on [0, 1)."""
-    if not 0.0 <= x < 1.0:
-        raise OutOfDomainError(f"x must lie in [0, 1), got {x!r}")
-    scaled = base * x
-    l = min(int(scaled), base - 1)
-    return scaled - l
+    """One step of the base-N shift, r(x) = (N x) mod 1, on [0, 1), for N >= 2."""
+    return base * x - cell_of(x, base, 1).j
 
 
 def cell_count(base: int, q: int, limit: int = 2**53) -> int:
@@ -133,8 +129,6 @@ def walsh_eval(a: WalshMatrix, n: int, x: float):
     Uses the cell of x at the resolution given by n's digit count; the
     result is the digit product described in the module docstring.
     """
-    if n < 0:
-        raise ValidationError(f"n must be nonnegative, got {n}")
     q = max(1, digit_length(n, a.n))
     cell = cell_of(x, a.n, q)
     ndig = digits(n, a.n, pad_to=q)
@@ -251,8 +245,10 @@ def kernel_deviation(a: WalshMatrix, q: int, samples: int = 1000, seed: int = 0)
     value N^q carries rounding of order N^q q eps, hence the division by N^q.
     """
     width = _width(a.n, q)
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValidationError(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
+    whole = isinstance(samples, (int, np.integer)) and not isinstance(samples, bool)
+    if not (whole and 1 <= samples <= MAX_SAMPLES):
+        raise ValidationError(
+            f"samples must be between 1 and {MAX_SAMPLES} and an integer, got {samples!r}")
     points = seeded_rng(seed).random((samples, 2))
     worst = []
     for start in range(0, samples, _SAMPLE_CHUNK):  # chunks bound the memory, not the max

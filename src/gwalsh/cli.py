@@ -234,7 +234,7 @@ def cmd_kernel_check(args) -> int:
             "tol": args.tol,
             "pass": passed,
         },
-        args.out or None,
+        args.out,
     )
     if not passed:
         print(f"kernel-check failed: max_deviation={deviation:.3e}", file=sys.stderr)
@@ -270,7 +270,7 @@ def cmd_verify(args) -> int:
     failing = sorted(name for name, value in checks.items() if not value <= args.tol)  # NaN fails
     report["pass"] = not failing
     report["failing"] = failing
-    write_json(report, args.out or None)
+    write_json(report, args.out)
     if failing:
         print("verify failed: " + ", ".join(failing), file=sys.stderr)
         return 1

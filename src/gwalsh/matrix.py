@@ -5,7 +5,8 @@ row is constantly 1/sqrt(N).  Every such matrix induces an orthonormal
 system of step functions on [0, 1), built in :mod:`gwalsh.basis`.  This
 module constructs, validates, serializes and randomly generates these
 matrices.  :func:`read_json` and :func:`write_json` read and write every
-JSON file of the package.
+JSON file of the package.  The matrix reader checks only its format;
+:class:`WalshMatrix` checks the tolerance, then a declared n before any number.
 
 Conventions fixed project-wide:
 
@@ -21,7 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from numbers import Number
+from numbers import Number, Real
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,13 @@ def number_array(values, what: str) -> tuple[np.ndarray, np.dtype]:
     return arr, np.dtype(np.complex128 if arr.dtype.kind == "c" else np.float64)
 
 
+def _tolerance(tol, what: str) -> float:
+    """tol as a float: a real, positive, finite number, not a boolean; else ValidationError."""
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol <= sys.float_info.max:
+        raise ValidationError(f"{what} must be a positive finite number, got {tol!r}")
+    return float(tol)
+
+
 @dataclass(frozen=True, eq=False)
 class WalshMatrix:
     """Validated N x N unitary matrix with constant first row.
@@ -95,9 +103,7 @@ class WalshMatrix:
     tol: float
 
     def __post_init__(self):
-        tol = self.tol
-        if not 0 < tol < math.inf:
-            raise ValidationError(f"tolerance must be positive and finite, got {tol}")
+        tol = _tolerance(self.tol, "tolerance")
         arr, stored = number_array(self.entries, "matrix entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise BadDimensionError(f"entries must be square, got shape {arr.shape}")
@@ -120,7 +126,7 @@ class WalshMatrix:
         if not peak <= 1 + tol:
             raise NotUnitaryError(f"an entry has magnitude {peak:.3e}, above 1 + tol ({tol:.3e})")
         arr.flags.writeable = False
-        for name, value in (("n", n), ("entries", arr), ("tol", float(tol))):
+        for name, value in (("n", n), ("entries", arr), ("tol", tol)):
             object.__setattr__(self, name, value)
 
         defect = self.unitarity_defect()
@@ -300,13 +306,10 @@ def matrix_from_dict(d: dict, tol: float | None = None) -> WalshMatrix:
     entries = json_numbers(d["entries"], "matrix entries", 2)
     declared = json_int(d["n"], "declared n") if "n" in d else None
     # checked also when the caller's tol replaces it, so every reader rejects the same files
-    file_tol = json_numbers(d.get("tol", DEFAULT_EXTERNAL_TOL), "matrix tol", 0).item()
-    if not file_tol > 0:
-        raise ValidationError(f"matrix tol must be positive, got {file_tol!r}")
-    m = validate(entries, tol=file_tol if tol is None else tol)
-    if declared is not None and declared != m.n:
-        raise ValidationError(f"declared n={d['n']} does not match entries of size {m.n}")
-    return m
+    file_tol = _tolerance(d.get("tol", DEFAULT_EXTERNAL_TOL), "matrix tol")
+    tol = file_tol if tol is None else tol
+    # a declared n is the constructor's shape check, made before any numeric one
+    return validate(entries, tol) if declared is None else WalshMatrix(declared, entries, tol)
 
 
 def save_matrix(m: WalshMatrix, path) -> None:

@@ -470,8 +470,6 @@ def run_exchange(
     """
     if a.n != b.n:
         raise BaseMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
-    if s.base != a.n:
-        raise BaseMismatchError(f"signal base {s.base} does not match matrix base {a.n}")
     channel = channel if channel is not None else InMemoryChannel()
     pairing = pairing_check_rows(a, b, tol=PAIRING_TOL)
 

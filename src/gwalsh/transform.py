@@ -33,7 +33,9 @@ is still the synthesis operator (no numerical matrix inversion).
 
 Both message formats of :class:`Signal` and :class:`CoefficientVector`
 live here too: the CSV (:func:`message_to_text`, :func:`message_from_text`)
-and the binary wire, with the one float rule of every CSV file.
+and the binary wire, with the one float rule of every CSV file.  A reader
+checks only its format: the message type checks N, q and the N^q count, then
+one check rejects "non-finite value in a gwalsh <kind> message".
 """
 
 from __future__ import annotations
@@ -142,10 +144,12 @@ _active_counters: ContextVar[tuple] = ContextVar("gwalsh_active_counters", defau
 
 @contextmanager
 def count_multiplies():
-    """Yield a :class:`MultiplyCounter` of the transforms this thread or task runs in the block.
+    """Yield a :class:`MultiplyCounter` of the transforms run in the block's context.
 
     It counts q * N^(q+1) per :func:`dwt_fast` or :func:`idwt` call on N^q
     cells; a direct call of the pass driver ``_butterfly`` counts nothing.
+    An asyncio task created in the block and an ``asyncio.to_thread`` call made
+    there copy its context and count too; a plain ``threading.Thread`` does not.
     """
     counter = MultiplyCounter()
     token = _active_counters.set(_active_counters.get() + (counter,))
@@ -363,6 +367,15 @@ def _message_kind(message) -> tuple[str, np.ndarray]:
     raise TypeError(f"a message is a Signal or a CoefficientVector, not {type(message).__name__}")
 
 
+def _message(kind: str, base: int, q: int, values: np.ndarray):
+    """Build the parsed message (its type checks N, q and the count), then check finiteness."""
+    cls, field = _KINDS[kind]
+    message = cls(base, q, values)
+    if not np.isfinite(getattr(message, field)).all():
+        raise ValidationError(f"non-finite value in a gwalsh {kind} message")
+    return message
+
+
 def _float_format(digits: int | None) -> str:
     """The format of one float: its shortest round-trip repr, or ``digits`` significant digits."""
     if digits is None:
@@ -422,8 +435,6 @@ def message_from_text(text: str, kind: str | None = None):
         base, q = map(int, fields)
     except ValueError:
         raise ValidationError(f"non-integer N or q in header: {lines[0]!r}") from None
-    if base < 2 or q < 0:
-        raise ValidationError(f"header needs N >= 2 and q >= 0: {lines[0]!r}")
     body = lines[1:]
     try:
         if not _number_text("\n".join(body)):
@@ -434,13 +445,7 @@ def message_from_text(text: str, kind: str | None = None):
         if len(set(map(type, values))) > 1:
             raise ValidationError(f"gwalsh {head[2]} values mix real numbers and re,im pairs")
         arr = np.asarray(values)
-    if arr.shape[0] != cell_count(base, q):
-        raise ValidationError(
-            f"header declares N^q = {base}^{q} values, file contains {arr.shape[0]}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"non-finite value in a gwalsh {head[2]} file")
-    return _KINDS[head[2]][0](base, q, arr)
+    return _message(head[2], base, q, arr)
 
 
 def _message_to_bytes(message) -> bytes:
@@ -460,10 +465,7 @@ def _message_from_bytes(payload: bytes):
     dtype = _WIRE_DTYPES[code]
     if (len(payload) - _WIRE_HEADER.size) % dtype.itemsize:
         raise ValidationError(f"message body is not a whole number of {dtype} values")
-    values = np.frombuffer(payload, dtype=dtype, offset=_WIRE_HEADER.size)
-    if not np.isfinite(values).all():
-        raise ValidationError("non-finite value in a message")
-    return _KINDS[kind][0](base, q, values)  # checks N >= 2, q >= 0 and N^q values
+    return _message(kind, base, q, np.frombuffer(payload, dtype=dtype, offset=_WIRE_HEADER.size))
 
 
 def write_signal(s: Signal, path, digits: int | None = None) -> None:

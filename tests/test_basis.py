@@ -167,6 +167,12 @@ class TestRMap:
         with pytest.raises(OutOfDomainError):
             r_map(-0.1, 3)
 
+    @pytest.mark.parametrize("base", [1, 0, -2])
+    def test_base_below_two_rejected(self, base):
+        # r_map(0.3, 0) was 1.0 and r_map(0.3, -2) was 2.4, outside [0, 1)
+        with pytest.raises(ValidationError, match="N >= 2"):
+            r_map(0.3, base)
+
 
 class TestCellOf:
     def test_half_open(self):
@@ -224,8 +230,11 @@ class TestWalshEval:
             assert abs(combined - split) <= 1e-12
 
     def test_negative_index_rejected(self, matrix_a):
-        with pytest.raises(Exception):
+        # digits owns the n >= 0 check, so a point outside [0, 1) is reported first
+        with pytest.raises(ValidationError, match="n must be nonnegative, got -1"):
             walsh_eval(matrix_a, -1, 0.5)
+        with pytest.raises(OutOfDomainError):
+            walsh_eval(matrix_a, -1, 1.5)
 
 
 class TestWalshOnGrid:
@@ -466,8 +475,15 @@ class TestResolutionBounds:
         with pytest.raises(ValidationError):
             kernel_deviation(matrix_a, 2, samples=0)
 
-    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**18],
-                             ids=["over-limit", "past-index-range"])
+    def test_numpy_int_samples_accepted(self, matrix_a):
+        assert kernel_deviation(matrix_a, 2, samples=np.int64(5)) == kernel_deviation(
+            matrix_a, 2, samples=5)
+
+    # samples is an integer that is not a boolean: 2.5 and True raised a bare TypeError
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**18, 2.5, 5.0, True, False, "5",
+                                         None],
+                             ids=["over-limit", "past-index-range", "fraction", "float", "true",
+                                  "false", "str", "none"])
     def test_too_many_samples_rejected_at_once(self, matrix_a, samples):
         start = time.perf_counter()
         with pytest.raises(ValidationError, match=f"between 1 and {MAX_SAMPLES}"):

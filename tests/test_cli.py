@@ -347,6 +347,19 @@ class TestMalformedMatrix:
         assert rc == 2
         assert not out.exists()
 
+    def test_wrong_declared_n_exits_two_before_unitarity(self, tmp_path, capsys):
+        # the declared n is checked before the entries' numbers: exit 2, not 1
+        entries = rv.MATRIX_A.copy()
+        entries[1] *= 2
+        matrix = tmp_path / "A.json"
+        matrix.write_text(json.dumps({"n": 4, "entries": entries.tolist()}))
+        out = tmp_path / "c.csv"
+        rc = main(["encode", "--matrix", str(matrix), "--signal-inline", "012",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("BadDimensionError: ")
+        assert not out.exists()
+
     def test_file_tol_is_not_read(self, tmp_path, capsys):
         # every subcommand validates at --tol (default 1e-8); the file's tol
         # applies only to load_matrix(path) called without a tol
@@ -435,6 +448,18 @@ def test_report_on_stdout_is_the_out_file(tmp_path, matrix_a_file, capsys, argv)
     assert capsys.readouterr().out == ""
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["verify", "--q", "2", "--samples", "200"],
+                                  ["kernel-check", "--q", "3", "--samples", "200"]],
+                         ids=["verify", "kernel-check"])
+def test_empty_out_is_a_path(tmp_path, matrix_a_file, capsys, monkeypatch, argv):
+    # only an absent --out prints the report; "" names the working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--matrix", matrix_a_file, "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("IsADirectoryError: ")
 
 
 class TestVerify:

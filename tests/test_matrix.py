@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import time
 import warnings
 
@@ -427,9 +428,31 @@ class TestSerialization:
         path.write_text(json.dumps({"n": 4, "entries": rv.MATRIX_A.tolist()}))
         with pytest.raises(ValidationError):
             load_matrix(path)
+        # the declared n is the constructor's shape check, run before any numeric one
+        entries = rv.MATRIX_A.copy()
+        entries[1] *= 2  # not unitary
+        with pytest.raises(NotUnitaryError):
+            matrix_from_dict({"n": 3, "entries": entries.tolist()})
+        with pytest.raises(BadDimensionError, match=r"shape \(3, 3\) does not match n=4"):
+            matrix_from_dict({"n": 4, "entries": entries.tolist()})
 
     def test_tol_override(self, tmp_path, matrix_b):
         path = tmp_path / "b.json"
         save_matrix(matrix_b, path)
         with pytest.raises(NotUnitaryError):
             load_matrix(path, tol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [True, np.True_, "1e-8", None, 0, -1, math.inf, math.nan],
+                         ids=["true", "numpy-true", "str", "none", "zero", "negative", "inf",
+                              "nan"])
+def test_one_tolerance_rule(tol):
+    # a real, positive, finite number that is not a boolean, for every matrix reader
+    rows = rv.MATRIX_A.tolist()
+    calls = [lambda: WalshMatrix(3, rv.MATRIX_A, tol), lambda: validate(rv.MATRIX_A, tol),
+             lambda: matrix_from_dict({"tol": tol, "entries": rows})]
+    if tol is not None:  # a caller's tol of None means the file's
+        calls.append(lambda: matrix_from_dict({"entries": rows}, tol=tol))
+    for call in calls:
+        with pytest.raises(ValidationError, match="must be a positive finite number"):
+            call()

@@ -1119,6 +1119,13 @@ class TestInMemoryChannel:
         with pytest.raises(ValidationError):
             _stored(payload).get("m")
 
+    def test_count_checked_before_finiteness(self):
+        # the message type checks the count; finiteness is checked on the built message
+        with pytest.raises(ValidationError, match="expected N\\^q cell values"):
+            _stored(_wire(b"s", b"f", 3, 1, [1.0, np.nan])).get("m")
+        with pytest.raises(ValidationError, match="non-finite value in a gwalsh coeffs message"):
+            _stored(_wire(b"c", b"f", 3, 1, [1.0, np.nan, 3.0])).get("m")
+
 
 @st.composite
 def _payloads(draw):

@@ -1,3 +1,4 @@
+import asyncio
 import os
 import re
 import shutil
@@ -296,6 +297,30 @@ class TestMultiplyCount:
             with count_multiplies() as inner:
                 dwt_fast(matrix_a, signal_f)
         assert (outer.count, inner.count) == (2 * 3 * 3**4, 3 * 3**4)
+
+    def test_counts_follow_the_context(self):
+        # an asyncio task created in the block and an asyncio.to_thread call copy
+        # its context and count; a plain thread starts in an empty one
+        a = generate_random(3, seed=1)
+        s = random_signal(3, 4, seed=2)
+        seen = []
+
+        async def transform_once():
+            dwt_fast(a, s)
+
+        async def main():
+            with count_multiplies() as counter:
+                await asyncio.create_task(transform_once())
+                seen.append(counter.count)
+                await asyncio.to_thread(dwt_fast, a, s)
+                seen.append(counter.count)
+                thread = threading.Thread(target=dwt_fast, args=(a, s))
+                thread.start()
+                thread.join(timeout=60)
+                seen.append(counter.count)
+
+        asyncio.run(main())
+        assert seen == [4 * 3**5, 2 * 4 * 3**5, 2 * 4 * 3**5]
 
     def test_counts_are_per_thread(self):
         # more threads than cores and a short switch interval, so the
@@ -865,6 +890,21 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             message_from_text("# gwalsh signal N=2 q=0\nhello\n", "signal")
 
+    @pytest.mark.parametrize("header", ["N=1 q=0", "N=2 q=-1"])
+    def test_body_checked_before_the_message(self, header):
+        # the reader parses the whole body; N and q are the message type's checks
+        text = f"# gwalsh signal {header}\nhello\n"
+        with pytest.raises(ValidationError, match="bad value line"):
+            message_from_text(text, "signal")
+        with pytest.raises(ValidationError, match="cell counts need N >= 2 and q >= 0"):
+            message_from_text(text.replace("hello", "0"), "signal")
+
+    def test_count_checked_before_finiteness(self):
+        with pytest.raises(ValidationError, match="expected N\\^q cell values"):
+            message_from_text("# gwalsh signal N=2 q=1\n1e999\n", "signal")
+        with pytest.raises(ValidationError, match="non-finite value in a gwalsh coeffs message"):
+            message_from_text("# gwalsh coeffs N=2 q=1\n1e999\n0\n", "coeffs")
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -926,7 +966,11 @@ def _oracle_values_to_text(values, kind, base, q, digits=None):
 
 
 def _oracle_values_from_text(text, kind):
-    """(kind, base, q, values) of a CSV text; with kind None, of the kind its header names."""
+    """(kind, base, q, values) of a CSV text; with kind None, of the kind its header names.
+
+    Only the format is checked here; N, q and the value count are the message
+    types' checks, and finiteness is checked on the built message.
+    """
     kinds = ["signal", "coeffs"] if kind is None else [kind]
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -949,8 +993,6 @@ def _oracle_values_from_text(text, kind):
         q = int(head[4][2:])
     except ValueError:
         raise ValidationError(f"non-integer N or q in header: {lines[0]!r}") from None
-    if base < 2 or q < 0:
-        raise ValidationError(f"header needs N >= 2 and q >= 0: {lines[0]!r}")
     values = []
     for line in lines[1:]:
         parts = line.split(",")
@@ -967,14 +1009,7 @@ def _oracle_values_from_text(text, kind):
             raise ValidationError(f"bad value line: {line!r}") from None
     if len({type(v) for v in values}) > 1:  # every line real, or every line a pair
         raise ValidationError(f"gwalsh {kind} values mix real numbers and re,im pairs")
-    arr = np.asarray(values)
-    if arr.shape[0] != base**q:
-        raise ValidationError(
-            f"header declares N^q = {base}^{q} values, file contains {arr.shape[0]}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"non-finite value in a gwalsh {kind} file")
-    return kind, base, q, arr
+    return kind, base, q, np.asarray(values)
 
 
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -1057,7 +1092,10 @@ def _parse_outcome(parse, text, kind):
 
 def _oracle_message(text, kind):
     kind, base, q, arr = _oracle_values_from_text(text, kind)
-    return (Signal if kind == "signal" else CoefficientVector)(base, q, arr)
+    message = (Signal if kind == "signal" else CoefficientVector)(base, q, arr)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"non-finite value in a gwalsh {kind} message")
+    return message
 
 
 @settings(max_examples=500)
