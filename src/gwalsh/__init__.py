@@ -28,7 +28,6 @@ from .errors import (
     ZeroSignalError,
 )
 from .matrix import (
-    RowPair,
     WalshMatrix,
     generate_n3,
     generate_random,
@@ -75,7 +74,6 @@ from .series import (
     write_sweep_csv,
 )
 from .protocol import (
-    BasisPairingReport,
     DirectoryChannel,
     ExchangeTranscript,
     InMemoryChannel,

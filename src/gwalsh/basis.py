@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import BadRowError, DigitOverflowError, OutOfDomainError, ValidationError
-from .matrix import WalshMatrix, seeded_rng
+from .matrix import WalshMatrix, is_integer, seeded_rng
 
 #: largest grid size for which dense N^q x N^q matrices may be formed
 MAX_GRID = 2048
@@ -77,14 +77,19 @@ def r_map(x: float, base: int) -> float:
 
 
 def cell_count(base: int, q: int, limit: int = 2**53) -> int:
-    """N^q, the number of resolution-q cells, for N >= 2, q >= 0 and N^q <= limit.
+    """N^q, the number of resolution-q cells, for integers N >= 2, q >= 0 and N^q <= limit.
 
-    N^q >= 2^q, so a q longer than ``limit.bit_length()`` is rejected before
-    the power is formed.  The default limit keeps every cell index exact in
-    a double; dense N^q x N^q matrices are limited to MAX_GRID.
+    An integer is an ``int`` or numpy integer, not a ``bool``.  N^q >= 2^q,
+    so a q longer than ``limit.bit_length()`` is rejected before the power
+    is formed, which is taken in Python ints: a numpy power would wrap.  The
+    default limit keeps every cell index exact in a double; dense
+    N^q x N^q matrices are limited to MAX_GRID.
     """
+    if not (is_integer(base) and is_integer(q)):
+        raise ValidationError(f"cell counts need integer N and q, got N={base!r}, q={q!r}")
     if base < 2 or q < 0:
         raise ValidationError(f"cell counts need N >= 2 and q >= 0, got N={base}, q={q}")
+    base, q = int(base), int(q)
     if q > limit.bit_length() or base**q > limit:
         raise ValidationError(f"N^q = {base}^{q} exceeds the limit of {limit} cells")
     return base**q
@@ -245,8 +250,7 @@ def kernel_deviation(a: WalshMatrix, q: int, samples: int = 1000, seed: int = 0)
     value N^q carries rounding of order N^q q eps, hence the division by N^q.
     """
     width = _width(a.n, q)
-    whole = isinstance(samples, (int, np.integer)) and not isinstance(samples, bool)
-    if not (whole and 1 <= samples <= MAX_SAMPLES):
+    if not (is_integer(samples) and 1 <= samples <= MAX_SAMPLES):
         raise ValidationError(
             f"samples must be between 1 and {MAX_SAMPLES} and an integer, got {samples!r}")
     points = seeded_rng(seed).random((samples, 2))

@@ -149,18 +149,6 @@ class WalshMatrix:
         return float(np.abs(gram - np.eye(self.n)).max())
 
 
-@dataclass(frozen=True)
-class RowPair:
-    """Pair of non-constant row indices, l <= k, both in 1..N-1."""
-
-    l: int
-    k: int
-
-    def __post_init__(self):
-        if not (1 <= self.l <= self.k):
-            raise ValidationError(f"row pair must satisfy 1 <= l <= k, got ({self.l}, {self.k})")
-
-
 def validate(entries, tol: float = DEFAULT_EXTERNAL_TOL) -> WalshMatrix:
     """Check the three defining invariants and return a :class:`WalshMatrix`.
 
@@ -216,13 +204,18 @@ def generate_n3(a: float, row_choice: str = "second", branch: str = "plus") -> W
     return validate(np.vstack([r0, r1, r2]), tol=DEFAULT_GENERATED_TOL)
 
 
+def is_integer(value) -> bool:
+    """True for an ``int`` or numpy integer that is not a ``bool``: gwalsh's integer arguments."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
     """``numpy.random.default_rng(seed)`` for a non-negative integer seed.
 
     Every random draw in gwalsh starts here.  ``None`` would draw fresh OS
     entropy, so it is rejected with booleans, negative and non-integer seeds.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(seed)
 

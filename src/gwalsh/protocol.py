@@ -11,7 +11,8 @@ equivalent to the same identity between their Walsh functions in L2[0,1],
 which :func:`pairing_check_basis` checks brute force: it analyses all of
 B's N^q Walsh functions, read cell-major off the grid, by A's forward
 kernel in one batched butterfly pass, q N^(2q+1) multiplies.  Both checks
-and the numeric companion's certification scan with :func:`_hermitian_defect`.
+return a :class:`PairingReport`; they and the numeric companion's
+certification scan with :func:`_hermitian_defect`.
 For a companion pair, analysis by A and synthesis by B compose to the
 identity after two rounds, which carries a four-message exchange:
 
@@ -49,7 +50,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    BaseMismatchError,
     DegenerateEliminationError,
     DimensionMismatchError,
     NoConvergenceError,
@@ -59,7 +59,6 @@ from .errors import (
 from .matrix import (
     BRANCHES,
     DEFAULT_EXTERNAL_TOL,
-    RowPair,
     WalshMatrix,
     constant_row,
     json_int,
@@ -91,16 +90,7 @@ PAIRING_TOL = 1e-7
 
 @dataclass(frozen=True)
 class PairingReport:
-    """Result of the row-level companion check."""
-
-    holds: bool
-    worst_pair: RowPair
-    worst_residual: float
-
-
-@dataclass(frozen=True)
-class BasisPairingReport:
-    """Result of the brute-force L2 companion check."""
+    """Result of a companion check: its largest residual and where it lies."""
 
     holds: bool
     worst_indices: tuple[int, int]
@@ -169,13 +159,14 @@ def pairing_check_rows(a: WalshMatrix, b: WalshMatrix, tol: float = 1e-8) -> Pai
     """Check the row-level companion condition over all pairs 1 <= l <= k.
 
     The residual of (l, k) is ``|<b_l, a_k> - <a_l, b_k>|``, the Hermitian
-    defect of ``B[1:] A[1:]^H``; ``worst_pair`` is the first row-major pair
-    with the largest residual (or NaN).
+    defect of ``B[1:] A[1:]^H``; ``worst_indices`` is the first row-major
+    pair (l, k) of row numbers, 1 <= l <= k <= N-1, with the largest
+    residual (or NaN).
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
     worst, (l, k) = _hermitian_defect(b.entries[1:] @ a.entries[1:].conj().T)
-    return PairingReport(holds=worst <= tol, worst_pair=RowPair(l + 1, k + 1), worst_residual=worst)
+    return PairingReport(holds=worst <= tol, worst_indices=(l + 1, k + 1), worst_residual=worst)
 
 
 def _walsh_cross(a: WalshMatrix, b: WalshMatrix, q: int,
@@ -219,7 +210,7 @@ def _take_scratch(nbytes: int) -> np.ndarray:
 
 def pairing_check_basis(
     a: WalshMatrix, b: WalshMatrix, q: int, tol: float = 1e-8
-) -> BasisPairingReport:
+) -> PairingReport:
     """Brute-force L2 check of the companion condition on all Walsh pairs < N^q.
 
     All N^(2q) inner products come from one batched butterfly pass
@@ -249,7 +240,7 @@ def pairing_check_basis(
         worst, worst_indices = _hermitian_defect(x)
     finally:
         _scratch.array = scratch
-    return BasisPairingReport(holds=worst <= tol, worst_indices=worst_indices, worst_residual=worst)
+    return PairingReport(holds=worst <= tol, worst_indices=worst_indices, worst_residual=worst)
 
 
 def _real_rows(a: WalshMatrix):
@@ -465,11 +456,10 @@ def run_exchange(
 
     A row pairing residual above ``PAIRING_TOL`` is flagged, not fatal:
     the exchange proceeds and the transcript carries the (then typically
-    large) recovery error.  Every message crosses ``channel`` (by default an
-    :class:`InMemoryChannel`) through its ``put`` and ``get``.
+    large) recovery error; matrices of different sizes raise the row check's
+    :class:`DimensionMismatchError`.  Every message crosses ``channel`` (by
+    default an :class:`InMemoryChannel`) through its ``put`` and ``get``.
     """
-    if a.n != b.n:
-        raise BaseMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
     channel = channel if channel is not None else InMemoryChannel()
     pairing = pairing_check_rows(a, b, tol=PAIRING_TOL)
 

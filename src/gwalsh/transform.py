@@ -418,6 +418,9 @@ def _parse_value(line: str):
 
 def message_from_text(text: str, kind: str | None = None):
     """The message a CSV text holds: of ``kind``, or of the kind its header names."""
+    if kind not in (None, *_KINDS):
+        raise ValidationError(
+            f"message kind must be one of {', '.join(map(repr, _KINDS))} or None, got {kind!r}")
     kinds = _KINDS if kind is None else {kind: _KINDS[kind]}
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:

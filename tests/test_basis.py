@@ -6,7 +6,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_values as rv
@@ -504,13 +504,16 @@ class TestResolutionBounds:
 
     @settings(max_examples=300)
     @given(st.integers(2, 16), st.integers(0, 200),
-           st.one_of(st.integers(0, 2**80), st.sampled_from([2**53, MAX_GRID, 5_000_000])))
-    def test_cell_count_is_the_bounded_power(self, base, q, limit):
+           st.one_of(st.integers(0, 2**80), st.sampled_from([2**53, MAX_GRID, 5_000_000])),
+           st.sampled_from([int, np.int64, np.uint64]))
+    @example(16, 16, 2**53, np.int64)  # the numpy power 16^16 = 2^64 wraps to 0
+    def test_cell_count_is_the_bounded_power(self, base, q, limit, integer):
         if base**q <= limit:
-            assert cell_count(base, q, limit) == base**q
+            count = cell_count(integer(base), integer(q), limit)
+            assert count == base**q and type(count) is int
         else:
             with pytest.raises(ValidationError):
-                cell_count(base, q, limit)
+                cell_count(integer(base), integer(q), limit)
 
     def test_cell_count_decides_a_huge_q_without_the_power(self):
         start = time.perf_counter()
@@ -521,6 +524,15 @@ class TestResolutionBounds:
     @pytest.mark.parametrize("base,q", [(1, 3), (0, 2), (3, -1)])
     def test_cell_count_domain(self, base, q):
         with pytest.raises(ValidationError):
+            cell_count(base, q)
+
+    @pytest.mark.parametrize("base,q", [
+        (2.0, 1), (np.float64(3.0), 2), (True, 1), (np.True_, 1), ("3", 1), (None, 1),
+        (2, 1.0), (2, True), (2, np.False_), (2, "1"),
+    ])
+    def test_cell_count_needs_integers(self, base, q):
+        # the rule of seeded_rng: an int or numpy integer, not a bool
+        with pytest.raises(ValidationError, match="cell counts need integer N and q"):
             cell_count(base, q)
 
     @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from gwalsh import (
     GwalshError,
     NotUnitaryError,
     OutOfRangeError,
-    RowPair,
     ValidationError,
     generate_n3,
     generate_random,
@@ -340,16 +339,6 @@ class TestSeededRng:
         for seed in (0, 7, np.int64(7), 2**70):
             want = np.random.default_rng(seed).random(4)
             assert np.array_equal(seeded_rng(seed).random(4), want)
-
-
-class TestRowPair:
-    def test_ordering_enforced(self):
-        RowPair(l=1, k=2)
-        RowPair(l=2, k=2)  # the diagonal pair of the complex row check
-        with pytest.raises(ValidationError):
-            RowPair(l=2, k=1)
-        with pytest.raises(ValidationError):
-            RowPair(l=0, k=1)
 
 
 class TestSerialization:

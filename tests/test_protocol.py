@@ -22,7 +22,6 @@ from gwalsh import (
     InMemoryChannel,
     NoConvergenceError,
     NoRealSolutionError,
-    RowPair,
     Signal,
     ValidationError,
     generate_random,
@@ -43,7 +42,6 @@ from gwalsh import (
 from gwalsh import protocol, transform
 from gwalsh.basis import MAX_GRID
 from gwalsh.protocol import (
-    BasisPairingReport,
     MaskedConstraintSystem,
     MaskedEquation,
     PairingReport,
@@ -72,8 +70,8 @@ def full_array_report(lhs, tol=1e-8):
     residuals = np.abs(lhs - lhs.conj().T)
     flat = int(residuals.argmax())
     worst = float(residuals.flat[flat])
-    return BasisPairingReport(holds=worst <= tol, worst_indices=divmod(flat, len(lhs)),
-                              worst_residual=worst)
+    return PairingReport(holds=worst <= tol, worst_indices=divmod(flat, len(lhs)),
+                         worst_residual=worst)
 
 
 def rotated_partner(a, angle):
@@ -128,7 +126,7 @@ def whole_array_row_report(a, b, tol):
     upper = np.where(np.triu(np.ones(residuals.shape, dtype=bool)), residuals, -1.0)
     l, k = divmod(int(upper.argmax()), len(upper))
     worst = float(upper[l, k])
-    return PairingReport(holds=worst <= tol, worst_pair=RowPair(l + 1, k + 1), worst_residual=worst)
+    return PairingReport(holds=worst <= tol, worst_indices=(l + 1, k + 1), worst_residual=worst)
 
 
 # +-1/2 entries make every row residual exact, so pairs tie
@@ -147,6 +145,17 @@ def row_check_pair(n, complex_entries, seed, partner):
     return a, {"companion": lambda: solve_companion_numeric(a, seed=seed + 1),
                "random": lambda: generate_random(n, seed=seed + 1, complex_entries=complex_entries),
                "self": lambda: a}[partner]()
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b: pairing_check_rows(a, b),
+    lambda a, b: pairing_check_basis(a, b, 2),
+    lambda a, b: run_exchange(a, b, random_signal(3, 2, seed=0)),
+], ids=["pairing_check_rows", "pairing_check_basis", "run_exchange"])
+def test_matrix_sizes_differ(call):
+    # two matrices of different sizes raise one error type, with one text
+    with pytest.raises(DimensionMismatchError, match="matrix sizes differ: 3 vs 4"):
+        call(generate_random(3, seed=1), generate_random(4, seed=1))
 
 
 class TestPairingRows:
@@ -169,7 +178,7 @@ class TestPairingRows:
                 # different orders
                 assert abs(report.worst_residual - worst) <= 4 * n * np.finfo(float).eps
                 if not holds:
-                    assert (report.worst_pair.l, report.worst_pair.k) == pair
+                    assert report.worst_indices == pair
             # the companion holds; the last partner, rotated or phased, violates
             assert pairing_check_rows(a, partners[0], tol=1e-8).holds
             assert (n == 2 and not complex_entries) or not report.holds
@@ -180,7 +189,7 @@ class TestPairingRows:
         for b, worst, pair in ((a, 0.0, (1, 1)), (cycled, 1.0, (1, 2))):
             report = pairing_check_rows(a, b, tol=1e-8)
             assert report.worst_residual == worst
-            assert (report.worst_pair.l, report.worst_pair.k) == pair
+            assert report.worst_indices == pair
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 9), complex_entries=st.booleans(), seed=st.integers(0, 2**16),
@@ -196,7 +205,7 @@ class TestPairingRows:
         assert report == whole_array_row_report(a, b, tol=1e-8)
         if partner == "phased" and complex_entries:
             # only diagonal pairs violate, and the report names one of them
-            assert not report.holds and report.worst_pair.l == report.worst_pair.k
+            assert not report.holds and report.worst_indices[0] == report.worst_indices[1]
 
     def test_complex_diagonal_violation(self):
         # <B_1, A_1> = i is not real: only the diagonal pair (1, 1) fails
@@ -205,7 +214,7 @@ class TestPairingRows:
         report = pairing_check_rows(a, b, tol=1e-8)
         assert not report.holds
         assert report.worst_residual == pytest.approx(2.0, abs=1e-12)
-        assert (report.worst_pair.l, report.worst_pair.k) == (1, 1)
+        assert report.worst_indices == (1, 1)
         assert pairing_check_basis(a, b, q=1).worst_residual == pytest.approx(2.0, abs=1e-12)
 
     def test_complex_two_point_systems_can_fail(self):
@@ -213,17 +222,13 @@ class TestPairingRows:
         report = pairing_check_rows(a, phased_partner(a, [1j]), tol=1e-8)
         assert not report.holds
         assert report.worst_residual == pytest.approx(2.0, abs=1e-12)
-        assert (report.worst_pair.l, report.worst_pair.k) == (1, 1)
-
-    def test_dimension_mismatch(self, matrix_a):
-        with pytest.raises(DimensionMismatchError):
-            pairing_check_rows(matrix_a, generate_random(4, seed=0))
+        assert report.worst_indices == (1, 1)
 
     def test_self_pair_holds(self, matrix_a):
         report = pairing_check_rows(matrix_a, matrix_a, tol=1e-12)
         assert report.holds
         assert report.worst_residual == 0.0
-        assert (report.worst_pair.l, report.worst_pair.k) == (1, 1)
+        assert report.worst_indices == (1, 1)
 
     def test_reference_pair_holds(self, matrix_a, matrix_b):
         report = pairing_check_rows(matrix_a, matrix_b, tol=1e-7)
@@ -249,7 +254,7 @@ class TestPairingRows:
         b = generate_random(2, seed=1)
         report = pairing_check_rows(a, b, tol=1e-12)
         assert report.holds
-        assert report.worst_pair == RowPair(1, 1)
+        assert report.worst_indices == (1, 1)
 
 
 class TestPairingBasis:
@@ -429,10 +434,6 @@ class TestPairingBasis:
         assert not np.shares_memory(split, serial)  # without out, each call a fresh array
         assert split.dtype == serial.dtype
         assert np.array_equal(split, serial)
-
-    def test_sizes_must_match(self):
-        with pytest.raises(DimensionMismatchError, match="matrix sizes differ: 3 vs 4"):
-            pairing_check_basis(generate_random(3, seed=1), generate_random(4, seed=1), 2)
 
     def test_check_adds_no_multiplies(self):
         a = generate_random(3, seed=1)
@@ -1004,7 +1005,7 @@ class TestRunExchange:
     def test_base_mismatch(self, matrix_a):
         from gwalsh import BaseMismatchError
 
-        with pytest.raises(BaseMismatchError):
+        with pytest.raises(DimensionMismatchError):
             run_exchange(matrix_a, generate_random(4, seed=0), random_signal(3, 2, seed=0))
         with pytest.raises(BaseMismatchError):
             run_exchange(matrix_a, matrix_a, random_signal(2, 3, seed=0))

@@ -32,7 +32,7 @@ from gwalsh import (
     signal_from_digits,
 )
 from gwalsh import transform
-from gwalsh.basis import scaled_rows
+from gwalsh.basis import digit_length, scaled_rows
 from gwalsh.transform import (
     message_from_text,
     message_to_text,
@@ -869,6 +869,11 @@ class TestSerialization:
             write_signal(s, tmp_path / "s.csv", digits=digits)
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["bogus", "", "Signal"])
+    def test_unknown_kind(self, signal_f, kind):
+        with pytest.raises(ValidationError, match="message kind must be one of 'signal', 'coeffs' or None"):
+            message_from_text(message_to_text(signal_f), kind)
+
     def test_kind_mismatch(self, signal_f):
         with pytest.raises(ValidationError):
             message_from_text(message_to_text(signal_f), "coeffs")
@@ -935,6 +940,44 @@ class TestSerialization:
             message_from_text(text, "signal")
         with pytest.raises(ValidationError):
             message_from_text(text.replace("signal", "coeffs"), "coeffs")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _messages(draw):
+    """Any message the constructors accept: N from 2 to 17 as an int or a
+    numpy integer, q up to N^q <= 300, real or complex values."""
+    base = draw(st.integers(2, 17))
+    q = draw(st.integers(0, digit_length(300, base) - 1))
+    base, q = (draw(st.sampled_from([int, np.int64, np.int32, np.uint8]))(v) for v in (base, q))
+    count = int(base) ** int(q)
+    values = np.array(draw(st.lists(_finite, min_size=count, max_size=count)))
+    if draw(st.booleans()):
+        values = values + 1j * np.array(draw(st.lists(_finite, min_size=count, max_size=count)))
+    return draw(st.sampled_from([Signal, CoefficientVector]))(base, q, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_messages())
+def test_every_message_round_trips(message):
+    field = "values" if isinstance(message, Signal) else "coeffs"
+    for back in (message_from_text(message_to_text(message)),
+                 transform._message_from_bytes(transform._message_to_bytes(message))):
+        assert type(back) is type(message)
+        assert (back.base, back.q) == (message.base, message.q)
+        assert getattr(back, field).dtype == getattr(message, field).dtype
+        assert getattr(back, field).tobytes() == getattr(message, field).tobytes()
+
+
+@pytest.mark.parametrize("cls", [Signal, CoefficientVector])
+@pytest.mark.parametrize("base,q", [(2.0, 1), (np.float64(2.0), 1), (2, True), (True, 1)],
+                         ids=["float-N", "numpy-float-N", "bool-q", "bool-N"])
+def test_non_integer_base_or_q_rejected(cls, base, q):
+    # such a message would write a header its own reader rejects
+    with pytest.raises(ValidationError, match="cell counts need integer N and q"):
+        cls(base, q, [1.0, 2.0])
 
 
 @settings(max_examples=30)
