@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import BadRowError, DigitOverflowError, OutOfDomainError, ValidationError
-from .matrix import WalshMatrix, is_integer, seeded_rng
+from .matrix import WalshMatrix, as_integer, is_integer, seeded_rng
 
 #: largest grid size for which dense N^q x N^q matrices may be formed
 MAX_GRID = 2048
@@ -47,7 +47,8 @@ class CellIndex:
 
 
 def digit_length(n: int, base: int) -> int:
-    """Number of base-N digits of n (0 for n = 0), for N >= 2."""
+    """Number of base-N digits of n (0 for n = 0), for integers n and N >= 2."""
+    n, base = as_integer(n, "n"), as_integer(base, "base")
     if base < 2:  # base 1 would never end the loop
         raise ValidationError(f"base must be at least 2, got {base}")
     length = 0
@@ -58,11 +59,13 @@ def digit_length(n: int, base: int) -> int:
 
 
 def digits(n: int, base: int, pad_to: int | None = None) -> tuple[int, ...]:
-    """Base-N digits of n, least significant first, zero-padded to ``pad_to``."""
+    """Base-N digits of n, least significant first, zero-padded to ``pad_to``; all integers."""
+    n, base = as_integer(n, "n"), as_integer(base, "base")
     if n < 0:
         raise ValidationError(f"n must be nonnegative, got {n}")
-    width = digit_length(n, base) if pad_to is None else pad_to
-    if pad_to is not None and digit_length(n, base) > pad_to:  # n >= N^pad_to, never formed
+    length = digit_length(n, base)
+    width = length if pad_to is None else as_integer(pad_to, "pad_to")
+    if length > width:  # n >= N^pad_to, never formed
         raise DigitOverflowError(f"{n} does not fit in {pad_to} base-{base} digits")
     out = []
     for _ in range(width):
@@ -117,7 +120,7 @@ def scaled_rows(a: WalshMatrix) -> np.ndarray:
 
 
 def _check_row(a: WalshMatrix, i: int) -> None:
-    if not 0 <= i < a.n:
+    if not 0 <= as_integer(i, "row index") < a.n:
         raise BadRowError(f"row index {i} out of range for n={a.n}")
 
 
@@ -152,7 +155,7 @@ def walsh_on_grid(a: WalshMatrix, n: int, q: int) -> np.ndarray:
     Entry j equals ``walsh_eval(a, n, (2 j + 1) / (2 N^q))``.
     """
     width = cell_count(a.n, q)
-    if not 0 <= n < width:
+    if not 0 <= as_integer(n, "n") < width:
         raise DigitOverflowError(f"need n < N^q = {width}, got n={n}")
     r = scaled_rows(a)
     # axis t of the outer product is the t-th most significant cell digit

@@ -209,6 +209,13 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def as_integer(value, what: str) -> int:
+    """value as an ``int`` when :func:`is_integer` holds for it; else ValidationError."""
+    if not is_integer(value):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
     """``numpy.random.default_rng(seed)`` for a non-negative integer seed.
 

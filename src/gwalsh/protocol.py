@@ -31,12 +31,12 @@ the solution set unchanged.  The masking hides nothing: every equation
 carries two rows of A, each up to that factor, so ``A[1:]`` can be read
 back from the published system up to sign.
 
-Exchange messages pass through a channel, which serializes each
-message on ``put`` and decodes and checks it on ``get``, so each step
-crosses a real serialization boundary.  The channels only carry messages
-in the formats of :mod:`gwalsh.transform`: :class:`InMemoryChannel` its
-binary wire, :class:`DirectoryChannel` its CSV.  Both round-trip every
-message bit-exactly.
+Exchange messages pass through a channel, which stores each message on
+``put`` and rebuilds and checks it on ``get``, so no party ever holds the
+sender's array.  :class:`DirectoryChannel` writes the CSV of
+:mod:`gwalsh.transform`; :class:`InMemoryChannel` keeps the value bytes
+and rebuilds each message with that CSV reader's checks.  Both round-trip
+every message bit-exactly.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ from .transform import (
     CoefficientVector,
     Signal,
     _butterfly,
-    _message_from_bytes,
-    _message_to_bytes,
+    _message,
+    _message_kind,
     dwt_fast,
     idwt,
     message_from_text,
@@ -406,19 +406,24 @@ def solve_companion_numeric(
 
 
 class InMemoryChannel:
-    """Message channel that keeps each message's wire bytes in process memory.
+    """Message channel that keeps each message's kind, N, q, dtype and value bytes in memory.
 
-    Every ``get`` decodes and checks them again; the bytes never reach the disk.
+    Every ``get`` rebuilds the message in a fresh read-only array and checks
+    it as the CSV reader does: the message type checks N, q and the count,
+    then a non-finite value is rejected.
     """
 
     def __init__(self):
-        self._store: dict[str, bytes] = {}
+        self._store: dict[str, tuple] = {}
 
     def put(self, name: str, message) -> None:
-        self._store[name] = _message_to_bytes(message)
+        kind, values = _message_kind(message)
+        self._store[name] = (kind, int(message.base), int(message.q), values.dtype,
+                             values.tobytes())
 
     def get(self, name: str):
-        return _message_from_bytes(self._store[name])
+        kind, base, q, dtype, payload = self._store[name]
+        return _message(kind, base, q, np.frombuffer(payload, dtype))
 
 
 class DirectoryChannel:

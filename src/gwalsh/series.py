@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
     ZeroSignalError,
 )
-from .matrix import WalshMatrix
+from .matrix import WalshMatrix, as_integer
 from .transform import CSV_DIGITS, CoefficientVector, Signal, _float_format, dwt_fast, idwt
 
 #: refuse common-refinement grids larger than this many cells
@@ -115,7 +115,7 @@ def partial_sum(a: WalshMatrix, s: Signal, k: int, q_eval: int) -> PartialSumRep
     resolution.  When k = N^q_eval the result is the exact cell average
     of the signal, bypassing the transform.
     """
-    return _partial_sums(a, s, [k], q_eval)[0]
+    return _partial_sums(a, s, [as_integer(k, "truncation k")], q_eval)[0]
 
 
 def _partial_sums(a: WalshMatrix, s: Signal, ks, q_eval: int) -> list[PartialSumReport]:
@@ -208,7 +208,7 @@ def convergence_sweep(
     Purely observational for truncations that are not powers of N.  The
     signal is analysed once for the whole sweep.
     """
-    return _partial_sums(a, s, sorted(set(int(k) for k in k_list)), q_eval)
+    return _partial_sums(a, s, sorted({as_integer(k, "truncation k") for k in k_list}), q_eval)
 
 
 def sweep_to_csv(reports: list[PartialSumReport]) -> str:

@@ -31,16 +31,16 @@ transposed stage structure.  For a unitary matrix this is the exact
 inverse of the forward transform; for an approximately unitary matrix it
 is still the synthesis operator (no numerical matrix inversion).
 
-Both message formats of :class:`Signal` and :class:`CoefficientVector`
-live here too: the CSV (:func:`message_to_text`, :func:`message_from_text`)
-and the binary wire, with the one float rule of every CSV file.  A reader
-checks only its format: the message type checks N, q and the N^q count, then
-one check rejects "non-finite value in a gwalsh <kind> message".
+The one message format of :class:`Signal` and :class:`CoefficientVector`
+lives here too: the CSV (:func:`message_to_text`, :func:`message_from_text`),
+with the one float rule of every CSV file.  The reader checks only its
+format: the message type checks N, q and the N^q count, then one check
+(``_message``, which the in-memory channel's ``get`` runs too) rejects
+"non-finite value in a gwalsh <kind> message".
 """
 
 from __future__ import annotations
 
-import struct
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -51,7 +51,7 @@ import numpy as np
 
 from .basis import cell_count, digit_length, scaled_rows, walsh_on_grid
 from .errors import BaseMismatchError, ValidationError
-from .matrix import WalshMatrix, number_array, read_text, seeded_rng
+from .matrix import WalshMatrix, is_integer, number_array, read_text, seeded_rng
 
 
 def _flat_array(values) -> tuple[np.ndarray, np.dtype]:
@@ -341,12 +341,10 @@ def parseval_residual(a: WalshMatrix, s: Signal) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Message formats.  One kind table names the two message types for both.
+# The message format.  One kind table names the two message types.
 # CSV: header "# gwalsh <kind> N=<n> q=<q>", then one value per line, every
 # line a real number or every line a complex "re,im" pair.  Values are read
 # only in the ASCII spellings that repr() and the "g" format write.
-# Binary wire: the kind's first letter, a dtype code, N and q as
-# little-endian int64, then the values.
 # ---------------------------------------------------------------------------
 
 #: significant digits for floats in every CSV file the CLI writes, the sweep CSV too
@@ -355,8 +353,6 @@ CSV_DIGITS = 12
 # kind name -> message type and the field holding its N^q values
 _KINDS = {"signal": (Signal, "values"), "coeffs": (CoefficientVector, "coeffs")}
 _HEADER = "# gwalsh {kind} N={base} q={q}"
-_WIRE_HEADER = struct.Struct("<ccqq")
-_WIRE_DTYPES = {b"f": np.dtype("<f8"), b"c": np.dtype("<c16")}
 
 
 def _message_kind(message) -> tuple[str, np.ndarray]:
@@ -380,9 +376,9 @@ def _float_format(digits: int | None) -> str:
     """The format of one float: its shortest round-trip repr, or ``digits`` significant digits."""
     if digits is None:
         return "{!r}"
-    if isinstance(digits, bool) or not isinstance(digits, int) or digits < 1:
+    if not is_integer(digits) or digits < 1:
         raise ValidationError(f"digits must be an integer >= 1 or None, got {digits!r}")
-    return f"{{:.{digits}g}}"
+    return f"{{:.{int(digits)}g}}"
 
 
 def message_to_text(message, digits: int | None = None) -> str:
@@ -449,26 +445,6 @@ def message_from_text(text: str, kind: str | None = None):
             raise ValidationError(f"gwalsh {head[2]} values mix real numbers and re,im pairs")
         arr = np.asarray(values)
     return _message(head[2], base, q, arr)
-
-
-def _message_to_bytes(message) -> bytes:
-    kind, values = _message_kind(message)
-    code = b"c" if np.iscomplexobj(values) else b"f"
-    header = _WIRE_HEADER.pack(kind[:1].encode(), code, message.base, message.q)
-    return header + values.astype(_WIRE_DTYPES[code], copy=False).tobytes()
-
-
-def _message_from_bytes(payload: bytes):
-    if len(payload) < _WIRE_HEADER.size:
-        raise ValidationError(f"message of {len(payload)} bytes is shorter than its header")
-    kind_code, code, base, q = _WIRE_HEADER.unpack_from(payload)
-    kind = next((kind for kind in _KINDS if kind[:1].encode() == kind_code), None)
-    if kind is None or code not in _WIRE_DTYPES:
-        raise ValidationError(f"unknown message kind {kind_code!r} or dtype code {code!r}")
-    dtype = _WIRE_DTYPES[code]
-    if (len(payload) - _WIRE_HEADER.size) % dtype.itemsize:
-        raise ValidationError(f"message body is not a whole number of {dtype} values")
-    return _message(kind, base, q, np.frombuffer(payload, dtype=dtype, offset=_WIRE_HEADER.size))
 
 
 def write_signal(s: Signal, path, digits: int | None = None) -> None:

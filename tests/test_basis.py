@@ -155,6 +155,44 @@ class TestDigits:
             digit_length(0, 1)
 
 
+class TestIntegerArguments:
+    """Integer arguments follow matrix.is_integer: an int or numpy integer, not a bool."""
+
+    @pytest.mark.parametrize("call,text", [
+        (lambda a: digits(5, 2.5), "base must be an integer, got 2.5"),
+        (lambda a: digits(5.0, 3), "n must be an integer, got 5.0"),
+        (lambda a: digits(5, 3, pad_to=2.0), "pad_to must be an integer, got 2.0"),
+        (lambda a: digit_length(5, 2.5), "base must be an integer, got 2.5"),
+        (lambda a: digit_length(True, 3), "n must be an integer, got True"),
+        (lambda a: m_eval(a, True, 0.5), "row index must be an integer, got True"),
+        (lambda a: m_eval(a, 1.0, 0.5), "row index must be an integer, got 1.0"),
+        (lambda a: walsh_eval(a, 2.0, 0.5), "n must be an integer, got 2.0"),
+        (lambda a: walsh_eval(a, True, 0.5), "n must be an integer, got True"),
+        (lambda a: walsh_on_grid(a, True, 2), "n must be an integer, got True"),
+        (lambda a: walsh_on_grid(a, "1", 2), "n must be an integer, got '1'"),
+    ], ids=["digits-float-base", "digits-float-n", "digits-float-pad", "length-float-base",
+            "length-bool-n", "m-bool-row", "m-float-row", "walsh-float-n", "walsh-bool-n",
+            "grid-bool-n", "grid-str-n"])
+    def test_rejected(self, matrix_a, call, text):
+        # each used to return a value (digits (0.0, 2.0), a 1x3 m_eval array, W_1 on the
+        # grid) or raise a bare IndexError or TypeError
+        with pytest.raises(ValidationError, match=text):
+            call(matrix_a)
+
+    def test_numpy_integers_accepted(self, matrix_a):
+        assert digits(np.int64(1000), np.uint8(3), pad_to=np.int32(8)) == digits(1000, 3, 8)
+        assert all(type(d) is int for d in digits(np.int64(5), 3))
+        assert m_eval(matrix_a, np.int64(1), 0.1) == m_eval(matrix_a, 1, 0.1)
+        assert walsh_eval(matrix_a, np.int64(7), 0.3) == walsh_eval(matrix_a, 7, 0.3)
+        assert np.array_equal(walsh_on_grid(matrix_a, np.int64(7), 2),
+                              walsh_on_grid(matrix_a, 7, 2))
+
+    def test_row_out_of_range_stays_bad_row(self, matrix_a):
+        for i in (3, -1, np.int64(3)):
+            with pytest.raises(BadRowError):
+                m_eval(matrix_a, i, 0.5)
+
+
 class TestRMap:
     def test_examples(self):
         assert r_map(0.1, 3) == pytest.approx(0.3)

@@ -133,6 +133,18 @@ class TestPartialSum:
         with pytest.raises(Exception):
             partial_sum(matrix_a, signal_f, 0, 3)
 
+    @pytest.mark.parametrize("k", [5.5, 27.0, True, "5"], ids=["fraction", "whole-float",
+                                                              "bool", "str"])
+    def test_non_integer_truncation_rejected(self, matrix_a, signal_f, k):
+        # 5.5 used to fail in a slice with a bare TypeError; 27.0 gave a report with k = 27.0
+        with pytest.raises(ValidationError, match="truncation k must be an integer"):
+            partial_sum(matrix_a, signal_f, k, 3)
+
+    def test_numpy_integer_truncation(self, matrix_a, signal_f):
+        report = partial_sum(matrix_a, signal_f, np.int64(9), 3)
+        assert type(report.k) is int
+        assert np.array_equal(report.values, partial_sum(matrix_a, signal_f, 9, 3).values)
+
 
 class TestMartingale:
     def test_randomized_suite(self):
@@ -258,6 +270,19 @@ class TestConvergenceSweep:
             convergence_sweep(matrix_a, signal_f, k_list, 6)
         analyses = 1 if syntheses else 0
         assert counter.count == (analyses + syntheses) * 6 * 3**7
+
+    @pytest.mark.parametrize("k_list", [[2.7, 9.9], ["5"], [3, 9.0], [True, 3]],
+                             ids=["fractions", "str", "whole-float", "bool"])
+    def test_non_integer_truncations_rejected(self, matrix_a, signal_f, k_list):
+        # int(k) used to run [2.7, 9.9] as k = 2 and 9, and accept "5"
+        with pytest.raises(ValidationError, match="truncation k must be an integer"):
+            convergence_sweep(matrix_a, signal_f, k_list, 3)
+
+    def test_numpy_integer_truncations_reported_as_ints(self, matrix_a, signal_f):
+        reports = convergence_sweep(matrix_a, signal_f, [np.int64(27), np.int32(3), 9], 3)
+        assert [(type(r.k), r.k) for r in reports] == [(int, 3), (int, 9), (int, 27)]
+        assert sweep_to_csv(reports) == sweep_to_csv(
+            convergence_sweep(matrix_a, signal_f, [27, 3, 9], 3))
 
     @pytest.mark.parametrize("k_list,q_eval,error,text", [
         ([0, 5], 4, ValidationError, "at least 1, got 0"),
