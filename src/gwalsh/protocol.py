@@ -36,7 +36,9 @@ Exchange messages pass through a channel, which stores each message on
 sender's array.  :class:`DirectoryChannel` writes the CSV of
 :mod:`gwalsh.transform`; :class:`InMemoryChannel` keeps the value bytes
 and rebuilds each message with that CSV reader's checks.  Both round-trip
-every message bit-exactly.
+every message bit-exactly.  Without a channel, :func:`run_exchange` sends
+each message over its own in-memory channel, dropped once the message is
+received.
 """
 
 from __future__ import annotations
@@ -418,8 +420,7 @@ class InMemoryChannel:
 
     def put(self, name: str, message) -> None:
         kind, values = _message_kind(message)
-        self._store[name] = (kind, int(message.base), int(message.q), values.dtype,
-                             values.tobytes())
+        self._store[name] = (kind, message.base, message.q, values.dtype, values.tobytes())
 
     def get(self, name: str):
         kind, base, q, dtype, payload = self._store[name]
@@ -462,15 +463,19 @@ def run_exchange(
     A row pairing residual above ``PAIRING_TOL`` is flagged, not fatal:
     the exchange proceeds and the transcript carries the (then typically
     large) recovery error; matrices of different sizes raise the row check's
-    :class:`DimensionMismatchError`.  Every message crosses ``channel`` (by
-    default an :class:`InMemoryChannel`) through its ``put`` and ``get``.
+    :class:`DimensionMismatchError`.  Every message crosses ``channel``
+    through its ``put`` and ``get``, and a caller's channel keeps all three.
+    Without one, each message crosses a fresh :class:`InMemoryChannel`,
+    dropped once the message is received, so the exchange holds its four
+    returned arrays and one message in flight (sent, stored and received),
+    not the three stored messages too.
     """
-    channel = channel if channel is not None else InMemoryChannel()
     pairing = pairing_check_rows(a, b, tol=PAIRING_TOL)
 
     def relay(name: str, message):
-        channel.put(name, message)
-        received = channel.get(name)
+        route = channel if channel is not None else InMemoryChannel()
+        route.put(name, message)
+        received = route.get(name)
         if type(received) is not type(message):
             raise ValidationError(f"message {name} arrived as a {type(received).__name__}")
         return received
@@ -480,7 +485,8 @@ def run_exchange(
     w3 = relay("w3.csv", dwt_fast(a, w2))
     recovered = idwt(b, w3)
 
-    max_error = float(np.abs(recovered.values - s.values).max())
+    diff = np.subtract(recovered.values, s.values)
+    max_error = float(np.abs(diff, out=diff if diff.dtype.kind == "f" else None).max())
     return ExchangeTranscript(
         w1=w1,
         w2=w2,

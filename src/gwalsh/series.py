@@ -115,7 +115,7 @@ def partial_sum(a: WalshMatrix, s: Signal, k: int, q_eval: int) -> PartialSumRep
     resolution.  When k = N^q_eval the result is the exact cell average
     of the signal, bypassing the transform.
     """
-    return _partial_sums(a, s, [as_integer(k, "truncation k")], q_eval)[0]
+    return _partial_sums(a, s, [as_integer(k, "truncation k")], as_integer(q_eval, "q_eval"))[0]
 
 
 def _partial_sums(a: WalshMatrix, s: Signal, ks, q_eval: int) -> list[PartialSumReport]:
@@ -208,7 +208,8 @@ def convergence_sweep(
     Purely observational for truncations that are not powers of N.  The
     signal is analysed once for the whole sweep.
     """
-    return _partial_sums(a, s, sorted({as_integer(k, "truncation k") for k in k_list}), q_eval)
+    ks = sorted({as_integer(k, "truncation k") for k in k_list})
+    return _partial_sums(a, s, ks, as_integer(q_eval, "q_eval"))
 
 
 def sweep_to_csv(reports: list[PartialSumReport]) -> str:

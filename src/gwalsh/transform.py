@@ -62,23 +62,26 @@ def _flat_array(values) -> tuple[np.ndarray, np.dtype]:
     return arr, stored
 
 
-def _as_cells(values, base: int, q: int) -> np.ndarray:
-    """The N^q cell values as a read-only 1-D array of the stored dtype.
+def _store_cells(message, field: str) -> None:
+    """Store a message's N^q cell values in ``field``, and its N and q as ``int``.
 
-    An array that owns its memory, is not writeable and has the stored dtype
-    (a transform's result) is kept as it is.  Anything else (a list, a
-    writeable array, a view, another dtype) is copied.
+    The values become a read-only 1-D array of the stored dtype: an array
+    that owns its memory, is not writeable and has the stored dtype (a
+    transform's result) is kept as it is, and anything else (a list, a
+    writeable array, a view, another dtype) is copied.  N and q are checked
+    by ``cell_count`` first; a numpy-integer N or q would wrap in the
+    transform's arithmetic.
     """
-    arr, stored = _flat_array(values)
-    if arr.shape[0] != cell_count(base, q):
-        raise ValidationError(
-            f"expected N^q cell values for base {base}, q {q}, got shape {arr.shape}"
-        )
-    if arr.flags.owndata and not arr.flags.writeable and arr.dtype == stored:
-        return arr
-    arr = np.array(arr, dtype=stored)
-    arr.flags.writeable = False
-    return arr
+    arr, stored = _flat_array(getattr(message, field))
+    if arr.shape[0] != cell_count(message.base, message.q):
+        raise ValidationError(f"expected N^q cell values for base {message.base}, "
+                              f"q {message.q}, got shape {arr.shape}")
+    if not (arr.flags.owndata and not arr.flags.writeable and arr.dtype == stored):
+        arr = np.array(arr, dtype=stored)
+        arr.flags.writeable = False
+    object.__setattr__(message, field, arr)
+    object.__setattr__(message, "base", int(message.base))
+    object.__setattr__(message, "q", int(message.q))
 
 
 def _infer_q(base: int, length: int) -> int:
@@ -96,6 +99,7 @@ class Signal:
     ValueError): copied, unless they are a read-only array that owns its
     memory and has the stored dtype.  numpy lets any holder of the stored
     array, copied or kept, set ``writeable`` back to True and change the signal.
+    ``base`` and ``q`` are stored as ``int``, also when given as numpy integers.
     """
 
     base: int
@@ -103,7 +107,7 @@ class Signal:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_cells(self.values, self.base, self.q))
+        _store_cells(self, "values")
 
     @classmethod
     def from_values(cls, base: int, values) -> "Signal":
@@ -118,7 +122,7 @@ class Signal:
 class CoefficientVector:
     """Walsh coefficients c_0..c_{N^q-1} in natural index order.
 
-    ``coeffs`` are stored, copied or kept, as ``Signal`` stores its values.
+    ``coeffs``, ``base`` and ``q`` are stored as ``Signal`` stores its fields.
     """
 
     base: int
@@ -126,7 +130,7 @@ class CoefficientVector:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_cells(self.coeffs, self.base, self.q))
+        _store_cells(self, "coeffs")
 
     def __len__(self) -> int:
         return len(self.coeffs)

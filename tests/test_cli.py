@@ -1,6 +1,9 @@
 import json
+import os
+import shutil
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -845,3 +848,43 @@ def test_import_loads_no_executor_modules():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def _workflow_run_block(step: str) -> str:
+    """The ``run:`` block of the CI workflow step named ``step``, dedented."""
+    workflow = Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml"
+    lines = workflow.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == f"- name: {step}")
+    run = next(i for i in range(start, len(lines)) if lines[i].strip() == "run: |")
+    indent = len(lines[run]) - len(lines[run].lstrip())
+    block = []
+    for line in lines[run + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block)) + "\n"
+
+
+def test_ci_console_script_step_runs(tmp_path):
+    # the workflow holds the one copy of these commands and their cmp checks (the
+    # README session, the one-CPU bytes, the in-memory against the --msg-dir
+    # transcripts); this runs them as CI does, under bash -e
+    missing = [tool for tool in ("bash", "taskset", "cmp") if shutil.which(tool) is None]
+    assert not missing, f"the console-script step needs {missing}"
+    script = tmp_path / "step.sh"
+    script.write_text(_workflow_run_block("Console script smoke (README session)"))
+    shims = tmp_path / "bin"
+    shims.mkdir()
+    commands = {"python": f'exec "{sys.executable}" "$@"\n'}
+    if shutil.which("gwalsh") is None:  # no console script installed: run the module
+        commands["gwalsh"] = f'exec "{sys.executable}" -m gwalsh "$@"\n'
+    for name, command in commands.items():
+        (shims / name).write_text("#!/bin/sh\n" + command)
+        (shims / name).chmod(0o755)
+    source = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PATH=f"{shims}{os.pathsep}{os.environ.get('PATH', '')}",
+               PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])),
+               TMPDIR=str(tmp_path))  # the step's mktemp -d lands here
+    result = subprocess.run(["bash", "-e", str(script)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, (result.stdout[-2000:], result.stderr[-2000:])

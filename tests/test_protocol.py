@@ -856,6 +856,42 @@ class TestRunExchange:
         assert transcript.pairing_violated
         assert transcript.max_error > 1e-2
 
+    def test_default_channel_is_one_per_message(self, matrix_a, matrix_b, signal_f,
+                                                monkeypatch):
+        channels = []
+        put = InMemoryChannel.put
+        monkeypatch.setattr(InMemoryChannel, "put",
+                            lambda self, name, message: channels.append(self) or
+                            put(self, name, message))
+        run_exchange(matrix_a, matrix_b, signal_f)
+        assert len({id(channel) for channel in channels}) == len(channels) == 3
+
+    @pytest.mark.parametrize("n,q,complex_values", [(3, 9, False), (4, 6, True)],
+                             ids=["real-3-9", "complex-4-6"])
+    def test_default_channel_holds_one_message_in_flight(self, n, q, complex_values):
+        # each message's channel is dropped once it is received, so the exchange holds
+        # its four returned arrays and one message in flight: about 5.15 message arrays
+        # with the transform's blocks; three stored messages would add three more
+        a = generate_random(n, seed=1, complex_entries=complex_values)
+        b = solve_companion_numeric(a, seed=2)
+        s = random_signal(n, q, seed=3, complex_values=complex_values)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert run_exchange(a, b, s).max_error <= 1e-9
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * s.values.nbytes
+
+    def test_caller_channel_keeps_all_three_messages(self, matrix_a, matrix_b, signal_f):
+        channel = InMemoryChannel()
+        transcript = run_exchange(matrix_a, matrix_b, signal_f, channel)
+        for field in ("w1", "w2", "w3"):
+            sent, kept = getattr(transcript, field), channel.get(f"{field}.csv")
+            assert type(kept) is type(sent) and kept is not sent
+            assert _cells(kept).tobytes() == _cells(sent).tobytes()
+
     def test_directory_channel_stages_files(self, matrix_a, matrix_b, signal_f, tmp_path):
         channel = DirectoryChannel(tmp_path / "msgs")
         transcript = run_exchange(matrix_a, matrix_b, signal_f, channel=channel)

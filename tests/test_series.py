@@ -145,6 +145,25 @@ class TestPartialSum:
         assert type(report.k) is int
         assert np.array_equal(report.values, partial_sum(matrix_a, signal_f, 9, 3).values)
 
+    @pytest.mark.parametrize("q_eval", [True, 2.0, "2"], ids=["bool", "float", "str"])
+    def test_non_integer_q_eval_rejected(self, matrix_a, signal_f, q_eval):
+        # True is not 1: it fails as a type, not as "q_eval=True too coarse"
+        with pytest.raises(ValidationError, match="q_eval must be an integer"):
+            partial_sum(matrix_a, signal_f, 5, q_eval)
+        with pytest.raises(ValidationError, match="q_eval must be an integer"):
+            convergence_sweep(matrix_a, signal_f, [5], q_eval)
+
+    @pytest.mark.parametrize("kind", [np.uint8, np.int64])
+    def test_numpy_integer_q_eval(self, matrix_a, signal_f, kind):
+        report = partial_sum(matrix_a, signal_f, 5, kind(4))
+        want = partial_sum(matrix_a, signal_f, 5, 4)
+        assert type(report.q_eval) is int
+        assert report.values.tobytes() == want.values.tobytes()
+        swept = convergence_sweep(matrix_a, signal_f, [5, 81], kind(4))
+        assert [type(r.q_eval) for r in swept] == [int, int]
+        want = convergence_sweep(matrix_a, signal_f, [5, 81], 4)
+        assert sweep_to_csv(swept) == sweep_to_csv(want)
+
 
 class TestMartingale:
     def test_randomized_suite(self):

@@ -992,6 +992,31 @@ def test_non_integer_base_or_q_rejected(cls, base, q):
         cls(base, q, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("cls", [Signal, CoefficientVector])
+@pytest.mark.parametrize("kind", [np.uint8, np.int32, np.int64])
+def test_numpy_integer_base_and_q_stored_as_int(cls, kind):
+    message = cls(kind(3), kind(2), np.arange(9.0))
+    assert (type(message.base), type(message.q)) == (int, int)
+    assert (message.base, message.q) == (3, 2)
+
+
+def test_numpy_integer_q_transforms_as_int():
+    # a uint8 q in the butterfly overflows at 3^10 cells
+    a = generate_random(3, seed=1)
+    values = random_signal(3, 10, seed=2).values
+    got = dwt_fast(a, Signal(3, np.uint8(10), values))
+    assert (type(got.base), type(got.q)) == (int, int)
+    assert got.coeffs.tobytes() == dwt_fast(a, Signal(3, 10, values)).coeffs.tobytes()
+
+
+def test_numpy_integer_base_counts_every_multiply():
+    # a uint8 N wraps in q * N^(q+1): 61 for the 3645 multiplies of 3^5 cells
+    a = generate_random(3, seed=1)
+    with count_multiplies() as counter:
+        dwt_fast(a, Signal(np.uint8(3), 5, np.ones(3**5)))
+    assert counter.count == 5 * 3**6
+
+
 @settings(max_examples=30)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=8, max_size=8))
 def test_text_round_trip_property(values):
