@@ -76,6 +76,7 @@ def digits(n: int, base: int, pad_to: int | None = None) -> tuple[int, ...]:
 
 def r_map(x: float, base: int) -> float:
     """One step of the base-N shift, r(x) = (N x) mod 1, on [0, 1), for N >= 2."""
+    base = as_integer(base, "base")
     return base * x - cell_of(x, base, 1).j
 
 
@@ -192,6 +193,7 @@ def dirichlet_kernel(a: WalshMatrix, q: int, x: float, t: float):
     (The closed form is N^q when t lies in x's resolution-q cell and 0
     otherwise; tests compare against it, this function does not assume it.)
     """
+    q = as_integer(q, "q")
     _width(a.n, q)
     return _kernel_product(a, q, cell_of(x, a.n, q).j, cell_of(t, a.n, q).j)
 
@@ -209,6 +211,7 @@ def grid_matrix(a: WalshMatrix, q: int, *, _out: np.ndarray | None = None) -> np
     a flat array of at least N^(2q) values, real or complex, that the last
     step writes into, so the result views its prefix and has its dtype.
     """
+    q = as_integer(q, "q")
     width = _width(a.n, q, MAX_GRID)
     factor = scaled_rows(a).T  # [cell digit, digit of n]
     cells = factor
@@ -237,6 +240,7 @@ def gram_defect(a: WalshMatrix, q: int) -> float:
     [d_min^q, d_max^q] for d = |diag(G)|; its largest off-diagonal entry is
     the largest off-diagonal |G| times (max |G|)^(q-1).
     """
+    q = as_integer(q, "q")
     _width(a.n, q)
     r = scaled_rows(a)
     gram = np.abs((r @ r.conj().T) / a.n)
@@ -252,6 +256,7 @@ def kernel_deviation(a: WalshMatrix, q: int, samples: int = 1000, seed: int = 0)
     ``default_rng(seed).random((samples, 2))``, and so does (x, x).  The same-cell
     value N^q carries rounding of order N^q q eps, hence the division by N^q.
     """
+    q = as_integer(q, "q")
     width = _width(a.n, q)
     if not (is_integer(samples) and 1 <= samples <= MAX_SAMPLES):
         raise ValidationError(

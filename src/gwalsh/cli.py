@@ -17,7 +17,7 @@ import sys
 
 from . import basis, protocol
 from .errors import NumericError, ValidationError
-from .matrix import generate_n3, generate_random, load_matrix, save_matrix, write_json
+from .matrix import ascii_int, generate_n3, generate_random, load_matrix, save_matrix, write_json
 from .protocol import (
     mask_constraints,
     pairing_check_basis,
@@ -64,13 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-matrix", help="generate a Walsh-generating matrix")
     spec = p.add_mutually_exclusive_group()
-    spec.add_argument("--n", type=int, help="base N (random generation)")
+    spec.add_argument("--n", type=ascii_int, help="base N (random generation)")
     # None tells a flag left out from one given, which the chosen path must read
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=ascii_int)
     p.add_argument("--complex", action="store_true", default=None,
                    help="complex entries (random generation)")
     spec.add_argument("--entry", type=float, help="prescribed leading entry (3x3 closed form)")
-    p.add_argument("--row", type=int, choices=(2, 3), help="1-based row receiving --entry")
+    p.add_argument("--row", type=ascii_int, choices=(2, 3), help="1-based row receiving --entry")
     p.add_argument("--branch", choices=("plus", "minus"))
     p.add_argument("--out", required=True)
 
@@ -80,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=("plus", "minus"))
     p.add_argument("--numeric", action="store_true", default=None,
                    help="build a seeded reflection companion (any N)")
-    p.add_argument("--mask-seed", dest="mask_seed", type=int,
+    p.add_argument("--mask-seed", dest="mask_seed", type=ascii_int,
                    help="certify against the masked system with this seed")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=ascii_int)
     p.add_argument("--masked-out", dest="masked_out",
                    help="also write the masked system JSON here (needs --mask-seed)")
     p.add_argument("--out", required=True)
@@ -102,22 +102,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_signal_args(p)
     p.add_argument("--k-list", dest="k_list", required=True,
                    help="comma-separated truncation indices")
-    p.add_argument("--q", type=int, help="evaluation resolution (default: minimal)")
+    p.add_argument("--q", type=ascii_int, help="evaluation resolution (default: minimal)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("kernel-check", help="max |D(x,t)/N^q - [same cell]| over samples")
     _add_matrix_arg(p)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1000, help="(x, t) pairs, plus each (x, x)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--q", type=ascii_int, required=True)
+    p.add_argument("--samples", type=ascii_int, default=1000,
+                   help="(x, t) pairs, plus each (x, x)")
+    p.add_argument("--seed", type=ascii_int, default=0)
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="aggregate consistency report for a matrix (pair)")
     _add_matrix_arg(p)
     p.add_argument("--matrix-b", dest="matrix_b", help="companion matrix JSON file")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--q", type=ascii_int, required=True)
+    p.add_argument("--samples", type=ascii_int, default=1000)
+    p.add_argument("--seed", type=ascii_int, default=0)
     p.add_argument("--out")
 
     p = sub.add_parser("exchange", help="run the four-step exchange")
@@ -126,10 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     partner.add_argument("--matrix-b", dest="matrix_b", help="companion matrix JSON file")
     partner.add_argument("--r", type=float, help="derive the companion in closed form")
     p.add_argument("--branch", choices=("plus", "minus"))
-    partner.add_argument("--mask-seed", dest="mask_seed", type=int,
+    partner.add_argument("--mask-seed", dest="mask_seed", type=ascii_int,
                          help="derive the companion numerically, certified against the "
                               "masked system with this seed")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=ascii_int)
     _add_signal_args(p)
     p.add_argument("--msg-dir", dest="msg_dir", help="stage messages as files here")
     p.add_argument("--out", required=True)
@@ -206,7 +207,7 @@ def cmd_series(args) -> int:
     a = load_matrix(args.matrix, tol=args.tol)
     s = _load_signal(args, a.n)
     try:
-        k_list = [int(k) for k in args.k_list.split(",") if k.strip()]
+        k_list = [ascii_int(k.strip()) for k in args.k_list.split(",") if k.strip()]
     except ValueError:
         raise ValidationError(f"bad --k-list {args.k_list!r}") from None
     if not k_list:

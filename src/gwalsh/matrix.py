@@ -107,9 +107,9 @@ class WalshMatrix:
         arr, stored = number_array(self.entries, "matrix entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise BadDimensionError(f"entries must be square, got shape {arr.shape}")
-        if arr.shape != (self.n, self.n):
-            raise BadDimensionError(f"entries shape {arr.shape} does not match n={self.n}")
-        n = arr.shape[0]
+        n = as_integer(self.n, "matrix n")
+        if arr.shape != (n, n):
+            raise BadDimensionError(f"entries shape {arr.shape} does not match n={n}")
         first = constant_row(n)
         arr = arr.astype(stored)
         if stored.kind == "c" and not arr.imag.any():
@@ -216,6 +216,17 @@ def as_integer(value, what: str) -> int:
     return int(value)
 
 
+def ascii_int(text: str) -> int:
+    """The int that ``text`` spells as an optional ``-`` and ASCII digits; else ValueError.
+
+    The integer rule of CSV headers and CLI flags: ``int()`` alone also reads
+    ``+5``, ``1_0``, `` 5`` and non-ASCII digits such as ``٣``.
+    """
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an optional '-' and ASCII digits: {text!r}")
+    return int(text)
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
     """``numpy.random.default_rng(seed)`` for a non-negative integer seed.
 
@@ -235,6 +246,7 @@ def generate_random(n: int, seed: int, complex_entries: bool = False) -> WalshMa
     the all-ones direction by modified Gram-Schmidt, so the output is a
     pure function of ``(n, seed, complex_entries)``.
     """
+    n = as_integer(n, "n")
     rows = [constant_row(n).astype(np.complex128 if complex_entries else np.float64)]
     rng = seeded_rng(seed)
     for _ in range(1, n):

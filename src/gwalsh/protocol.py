@@ -62,6 +62,7 @@ from .matrix import (
     BRANCHES,
     DEFAULT_EXTERNAL_TOL,
     WalshMatrix,
+    as_integer,
     constant_row,
     json_int,
     json_numbers,
@@ -196,20 +197,6 @@ def _walsh_cross(a: WalshMatrix, b: WalshMatrix, q: int,
 _scratch = threading.local()
 
 
-def _take_scratch(nbytes: int) -> np.ndarray:
-    """This thread's scratch bytes, grown to at least ``nbytes``, taken out of its slot.
-
-    A check that runs while another holds the array (a nested call on the
-    same thread) finds the slot empty and allocates its own.
-    """
-    array = getattr(_scratch, "array", None)
-    _scratch.array = None
-    if array is not None and array.nbytes >= nbytes:
-        return array
-    del array  # free the smaller array before the larger one is allocated
-    return np.empty(nbytes, dtype=np.uint8)
-
-
 def pairing_check_basis(
     a: WalshMatrix, b: WalshMatrix, q: int, tol: float = 1e-8
 ) -> PairingReport:
@@ -233,12 +220,17 @@ def pairing_check_basis(
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
-    size = _width(a.n, q, MAX_GRID) ** 2
+    q = as_integer(q, "q")
     dtype = np.result_type(a.entries, b.entries)
-    scratch = _take_scratch(size * dtype.itemsize)
+    nbytes = _width(a.n, q, MAX_GRID) ** 2 * dtype.itemsize
+    scratch = getattr(_scratch, "array", None)
+    _scratch.array = None  # a nested check on this thread finds the slot empty: its own array
+    if scratch is None or scratch.nbytes < nbytes:
+        del scratch  # free the smaller array before the larger one is allocated
+        scratch = np.empty(nbytes, dtype=np.uint8)
     try:
         # x[k, l] = <W_l of B, W_k of A>, C-contiguous; its defect is the residual
-        x = _walsh_cross(a, b, q, out=scratch[:size * dtype.itemsize].view(dtype)).T
+        x = _walsh_cross(a, b, q, out=scratch[:nbytes].view(dtype)).T
         worst, worst_indices = _hermitian_defect(x)
     finally:
         _scratch.array = scratch
@@ -342,20 +334,6 @@ def _unknown_index(name) -> tuple[int, int]:
     return i, j
 
 
-def _masked_rows(masked: MaskedConstraintSystem, n: int) -> list[tuple[np.ndarray, float]]:
-    """Masked equations as ((n-1) x n) coefficient arrays over rows 1..n-1."""
-    rows = []
-    for eq in masked.equations:
-        coeff = np.zeros((n - 1, n))
-        for name, value in eq.coeffs.items():
-            i, j = _unknown_index(name)
-            if not (i < n and j < n):
-                raise ValidationError(f"unknown {name!r} out of range for n={n}")
-            coeff[i - 1, j] = value
-        rows.append((coeff, eq.rhs))
-    return rows
-
-
 def solve_companion_numeric(
     a: WalshMatrix,
     masked: MaskedConstraintSystem | None = None,
@@ -392,7 +370,14 @@ def solve_companion_numeric(
         _hermitian_defect(b_rows @ rows.conj().T)[0],
     ]
     if masked is not None:
-        residuals += [abs((coeff * b_rows).sum() - rhs) for coeff, rhs in _masked_rows(masked, n)]
+        for eq in masked.equations:
+            total = 0.0  # the equation summed over the entries of B it names
+            for name, value in eq.coeffs.items():
+                i, j = _unknown_index(name)
+                if not (i < n and j < n):
+                    raise ValidationError(f"unknown {name!r} out of range for n={n}")
+                total += value * b_rows[i - 1, j]
+            residuals.append(abs(total - eq.rhs))
     residual = float(np.max(residuals))
     if not residual <= tol:
         raise NoConvergenceError(

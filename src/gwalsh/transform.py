@@ -51,7 +51,7 @@ import numpy as np
 
 from .basis import cell_count, digit_length, scaled_rows, walsh_on_grid
 from .errors import BaseMismatchError, ValidationError
-from .matrix import WalshMatrix, is_integer, number_array, read_text, seeded_rng
+from .matrix import WalshMatrix, ascii_int, is_integer, number_array, read_text, seeded_rng
 
 
 def _flat_array(values) -> tuple[np.ndarray, np.dtype]:
@@ -431,11 +431,7 @@ def message_from_text(text: str, kind: str | None = None):
         raise ValidationError(
             f"bad header for a gwalsh {' or '.join(kinds)} file: {lines[0]!r}")
     try:
-        fields = (head[3][2:], head[4][2:])
-        # int() also reads "+3", "0_3" and non-ASCII digits, which the writers never emit
-        if not all(f.isascii() and f.removeprefix("-").isdigit() for f in fields):
-            raise ValueError
-        base, q = map(int, fields)
+        base, q = ascii_int(head[3][2:]), ascii_int(head[4][2:])
     except ValueError:
         raise ValidationError(f"non-integer N or q in header: {lines[0]!r}") from None
     body = lines[1:]

@@ -265,6 +265,49 @@ class TestCheckBoundaries:
         assert not out.exists()
 
 
+class TestIntegerFlags:
+    """Integer flags follow the CSV header's rule: an optional '-' and ASCII digits."""
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel-check", "--q", "\u0663"],
+        ["kernel-check", "--q", "2", "--samples", "1_0"],
+        ["kernel-check", "--q", "2", "--seed", "+5"],
+        ["kernel-check", "--q", " 2"],
+        ["gen-matrix", "--entry", "0.5", "--row", "\u0662"],
+        ["gen-matrix", "--n", "3", "--seed", "+5"],
+        ["gen-matrix", "--n", "0_3"],
+        ["solve-b", "--numeric", "--mask-seed", "\u0665"],
+        ["verify", "--q", "2", "--samples", "1_000"],
+        ["series", "--signal-inline", "012", "--k-list", "3", "--q", "+1"],
+    ], ids=["arabic-q", "underscore-samples", "plus-seed", "spaced-q", "arabic-row",
+            "gen-plus-seed", "underscore-n", "arabic-mask-seed", "verify-samples", "plus-q"])
+    def test_spellings_int_reads_exit_two(self, tmp_path, matrix_a_file, capsys, argv):
+        # int() reads each of these as the number it spells
+        out = tmp_path / "out.json"
+        matrix = [] if argv[0] == "gen-matrix" else ["--matrix", matrix_a_file]
+        assert main(argv + matrix + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert "invalid ascii_int value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_list", ["\u0663,1_0", "2_7", "+3", "3,-x"])
+    def test_k_list_entries(self, tmp_path, matrix_a_file, signal_file, capsys, k_list):
+        out = tmp_path / "s.csv"
+        argv = ["series", "--matrix", matrix_a_file, "--signal", signal_file,
+                "--k-list", k_list, "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"ValidationError: bad --k-list {k_list!r}\n"
+
+    def test_negative_and_spaced_k_list_entries_still_read(self, tmp_path, matrix_a_file,
+                                                           signal_file):
+        # a minus sign is part of the rule, and entries may be spaced around their commas
+        out = tmp_path / "s.csv"
+        argv = ["series", "--matrix", matrix_a_file, "--signal", signal_file, "--out", str(out)]
+        assert main(argv + ["--k-list", "27, 36"]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["k", "27", "36"]
+        assert main(argv + ["--k-list", "-1"]) == 2
+
+
 class TestMalformedCsv:
     @pytest.mark.parametrize(
         "text",
@@ -853,7 +896,7 @@ def test_import_loads_no_executor_modules():
 def _workflow_run_block(step: str) -> str:
     """The ``run:`` block of the CI workflow step named ``step``, dedented."""
     workflow = Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml"
-    lines = workflow.read_text().splitlines()
+    lines = workflow.read_text(encoding="utf-8").splitlines()
     start = next(i for i, line in enumerate(lines) if line.strip() == f"- name: {step}")
     run = next(i for i in range(start, len(lines)) if lines[i].strip() == "run: |")
     indent = len(lines[run]) - len(lines[run].lstrip())
@@ -872,7 +915,8 @@ def test_ci_console_script_step_runs(tmp_path):
     missing = [tool for tool in ("bash", "taskset", "cmp") if shutil.which(tool) is None]
     assert not missing, f"the console-script step needs {missing}"
     script = tmp_path / "step.sh"
-    script.write_text(_workflow_run_block("Console script smoke (README session)"))
+    script.write_text(_workflow_run_block("Console script smoke (README session)"),
+                      encoding="utf-8")
     shims = tmp_path / "bin"
     shims.mkdir()
     commands = {"python": f'exec "{sys.executable}" "$@"\n'}

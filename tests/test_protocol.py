@@ -769,6 +769,23 @@ class TestSolveCompanionNumeric:
             solve_companion_numeric(a, other, seed=1, tol=1e-10)
         assert info.value.best_residual > 1e-3
 
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_best_residual_is_the_dense_masked_residual(self, n):
+        # oracle: each equation as a dense (N-1) x N coefficient array over B's rows 1..N-1
+        a = generate_random(n, seed=6)
+        b_rows = solve_companion_numeric(a, None, seed=1).entries[1:]  # masking moves no entry
+        other = mask_constraints(generate_random(n, seed=7), mask_seed=2)
+        dense = []
+        for eq in other.equations:
+            coeff = np.zeros((n - 1, n))
+            for name, value in eq.coeffs.items():
+                _, i, j = name.split("_")
+                coeff[int(i) - 1, int(j)] = value
+            dense.append(abs((coeff * b_rows).sum() - eq.rhs))
+        with pytest.raises(NoConvergenceError) as info:
+            solve_companion_numeric(a, other, seed=1, tol=1e-10)
+        assert info.value.best_residual == pytest.approx(max(dense), rel=0, abs=1e-15)
+
     def test_base_four(self):
         a = generate_random(4, seed=6)
         b = solve_companion_numeric(a, mask_constraints(a, mask_seed=2), seed=1, tol=1e-9)
