@@ -5,8 +5,13 @@ goes through the declared file formats (matrix JSON, signal/coefficient
 CSV, transcript and masked-system JSON, sweep CSV).  Exit codes: 0 on
 success, 1 on numeric failures (no solution, no convergence, not
 unitary), 2 on validation errors and on sizes that cannot be allocated,
-with a single-line diagnostic on stderr.  Runs are deterministic given
-their flags; all randomness is seeded.
+with a single-line diagnostic on stderr.  A flag the parser rejects
+(unknown, missing, malformed, or in conflict with another) is one such
+``ValidationError`` line, with no usage text.  The spelling rules of flag
+values are the library's: ``matrix.ascii_int`` for integers,
+``matrix.ascii_float`` for floats, ``transform.signal_from_digits`` for
+``--signal-inline``.  Runs are deterministic given their flags; all
+randomness is seeded.
 """
 
 from __future__ import annotations
@@ -17,7 +22,15 @@ import sys
 
 from . import basis, protocol
 from .errors import NumericError, ValidationError
-from .matrix import ascii_int, generate_n3, generate_random, load_matrix, save_matrix, write_json
+from .matrix import (
+    ascii_float,
+    ascii_int,
+    generate_n3,
+    generate_random,
+    load_matrix,
+    save_matrix,
+    write_json,
+)
 from .protocol import (
     mask_constraints,
     pairing_check_basis,
@@ -44,7 +57,7 @@ from .transform import (
 def _add_matrix_arg(p):
     p.add_argument("--matrix", required=True, help="matrix JSON file")
     # also accepted after the subcommand; SUPPRESS keeps the top-level default
-    p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+    p.add_argument("--tol", type=ascii_float, default=argparse.SUPPRESS,
                    help="validation/check tolerance (default 1e-8)")
 
 
@@ -55,10 +68,17 @@ def _add_signal_args(p):
                         help="signal as a digit string, one character per cell")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # main prints it as one line, exit code 2; argparse quotes an unrecognized
+        # argument raw, and it may hold a newline
+        raise ValidationError(message.replace("\n", "\\n"))
+
+
 @functools.cache  # one parser per process; main looks up cmd_* on every call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gwalsh", description=__doc__.splitlines()[0])
-    parser.add_argument("--tol", type=float, default=1e-8,
+    parser = _Parser(prog="gwalsh", description=__doc__.splitlines()[0])
+    parser.add_argument("--tol", type=ascii_float, default=1e-8,
                         help="validation/check tolerance (default 1e-8)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -69,14 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=ascii_int)
     p.add_argument("--complex", action="store_true", default=None,
                    help="complex entries (random generation)")
-    spec.add_argument("--entry", type=float, help="prescribed leading entry (3x3 closed form)")
+    spec.add_argument("--entry", type=ascii_float,
+                      help="prescribed leading entry (3x3 closed form)")
     p.add_argument("--row", type=ascii_int, choices=(2, 3), help="1-based row receiving --entry")
     p.add_argument("--branch", choices=("plus", "minus"))
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("solve-b", help="solve for a companion matrix")
     _add_matrix_arg(p)
-    p.add_argument("--r", type=float, help="free parameter (closed form, N=3)")
+    p.add_argument("--r", type=ascii_float, help="free parameter (closed form, N=3)")
     p.add_argument("--branch", choices=("plus", "minus"))
     p.add_argument("--numeric", action="store_true", default=None,
                    help="build a seeded reflection companion (any N)")
@@ -125,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_arg(p)
     partner = p.add_mutually_exclusive_group()
     partner.add_argument("--matrix-b", dest="matrix_b", help="companion matrix JSON file")
-    partner.add_argument("--r", type=float, help="derive the companion in closed form")
+    partner.add_argument("--r", type=ascii_float, help="derive the companion in closed form")
     p.add_argument("--branch", choices=("plus", "minus"))
     partner.add_argument("--mask-seed", dest="mask_seed", type=ascii_int,
                          help="derive the companion numerically, certified against the "
@@ -300,11 +321,10 @@ def cmd_exchange(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
-    command = globals()["cmd_" + args.subcommand.replace("-", "_")]
-    try:
+        command = globals()["cmd_" + args.subcommand.replace("-", "_")]
         return int(command(args) or 0)
+    except SystemExit as exc:  # --help; the parser raises ValidationError for a bad flag
+        return 0 if exc.code in (0, None) else int(exc.code)
     except NumericError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

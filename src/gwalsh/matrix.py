@@ -216,6 +216,13 @@ def as_integer(value, what: str) -> int:
     return int(value)
 
 
+def as_bool(value, what: str) -> bool:
+    """value as a ``bool`` when it is a ``bool`` or ``numpy.bool_``; else ValidationError."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{what} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def ascii_int(text: str) -> int:
     """The int that ``text`` spells as an optional ``-`` and ASCII digits; else ValueError.
 
@@ -225,6 +232,18 @@ def ascii_int(text: str) -> int:
     if not (text.isascii() and text.removeprefix("-").isdigit()):
         raise ValueError(f"not an optional '-' and ASCII digits: {text!r}")
     return int(text)
+
+
+def ascii_float(text: str) -> float:
+    """``float(text)`` when ``text`` is ASCII without whitespace or ``_``; else ValueError.
+
+    The float rule of CLI flags: ``float()`` alone also reads `` 0.2``,
+    ``1_0e-9`` and non-ASCII digits such as ``٠.٥``.  ``inf`` and ``nan``
+    still read, so that each caller's own check rejects them as values.
+    """
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not an ASCII float without whitespace or '_': {text!r}")
+    return float(text)
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -247,6 +266,7 @@ def generate_random(n: int, seed: int, complex_entries: bool = False) -> WalshMa
     pure function of ``(n, seed, complex_entries)``.
     """
     n = as_integer(n, "n")
+    complex_entries = as_bool(complex_entries, "complex_entries")
     rows = [constant_row(n).astype(np.complex128 if complex_entries else np.float64)]
     rng = seeded_rng(seed)
     for _ in range(1, n):

@@ -51,7 +51,7 @@ import numpy as np
 
 from .basis import cell_count, digit_length, scaled_rows, walsh_on_grid
 from .errors import BaseMismatchError, ValidationError
-from .matrix import WalshMatrix, ascii_int, is_integer, number_array, read_text, seeded_rng
+from .matrix import WalshMatrix, as_bool, ascii_int, is_integer, number_array, read_text, seeded_rng
 
 
 def _flat_array(values) -> tuple[np.ndarray, np.dtype]:
@@ -466,6 +466,7 @@ def read_coefficients(path) -> CoefficientVector:
 def random_signal(base: int, q: int, seed: int, complex_values: bool = False) -> Signal:
     """Seeded random signal with cell values uniform in [0, 1)."""
     width = cell_count(base, q)
+    complex_values = as_bool(complex_values, "complex_values")
     rng = seeded_rng(seed)
     values = rng.random(width)
     if complex_values:
@@ -474,11 +475,15 @@ def random_signal(base: int, q: int, seed: int, complex_values: bool = False) ->
 
 
 def signal_from_digits(text: str, base: int) -> Signal:
-    """Signal whose cell j takes the numeric value of the j-th character."""
+    """Signal whose cell j takes the value of the j-th character, an ASCII digit.
+
+    Outer whitespace is stripped.  ``float()`` alone would also read digits
+    such as ``٢`` and ``２``; :func:`matrix.ascii_int` rejects them too.
+    """
     text = text.strip()
     if not text:
         raise ValidationError("empty inline signal")
-    if not text.isdecimal():  # the digits float() reads; isdigit() also passes '²'
-        bad = next(ch for ch in text if not ch.isdecimal())
+    if not (text.isascii() and text.isdigit()):
+        bad = next(ch for ch in text if ch not in "0123456789")
         raise ValidationError(f"inline signal character {bad!r} is not a digit")
     return Signal.from_values(base=base, values=list(map(float, text)))

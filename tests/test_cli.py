@@ -308,6 +308,40 @@ class TestIntegerFlags:
         assert main(argv + ["--k-list", "-1"]) == 2
 
 
+class TestFloatFlags:
+    """Float flags read what float() reads, less spaces, '_' and non-ASCII characters."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--matrix", "{A}", "--q", "2", "--tol", "1_0e-9"],
+        ["--tol", "1_0e-9", "verify", "--matrix", "{A}", "--q", "2"],
+        ["solve-b", "--matrix", "{A}", "--r", " 0.2"],
+        ["solve-b", "--matrix", "{A}", "--r", "0.2 "],
+        ["exchange", "--matrix", "{A}", "--r", "0.2 ", "--signal", "{f}"],
+        ["gen-matrix", "--entry", "\u0660.\u0665"],
+    ], ids=["underscore-tol", "underscore-top-tol", "spaced-r", "r-spaced", "exchange-r-spaced",
+            "arabic-entry"])
+    def test_spellings_float_reads_exit_two(self, tmp_path, matrix_a_file, signal_file, capsys,
+                                            argv):
+        # float() reads each of these as the number it spells
+        out = tmp_path / "out"
+        paths = {"A": matrix_a_file, "f": signal_file}
+        assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("ValidationError: ") and err.count("\n") == 1
+        assert "invalid ascii_float value" in err
+
+    @pytest.mark.parametrize("text", ["1e-6", "-0.5", "0.7071067811865476"])
+    @pytest.mark.parametrize("argv,dest", [
+        (["verify", "--matrix", "A.json", "--q", "2", "--tol"], "tol"),
+        (["gen-matrix", "--out", "A.json", "--entry"], "entry"),
+        (["solve-b", "--matrix", "A.json", "--out", "B.json", "--r"], "r"),
+    ], ids=["tol", "entry", "r"])
+    def test_plain_spellings_read_as_float(self, argv, dest, text):
+        value = getattr(cli.build_parser().parse_args(argv + [text]), dest)
+        assert type(value) is float and value == float(text)
+
+
 class TestMalformedCsv:
     @pytest.mark.parametrize(
         "text",
@@ -482,6 +516,18 @@ def test_superscript_inline_signal_exit_two(tmp_path, matrix_a_file):
                "--out", str(out)])
     assert rc == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("digits", ["\u0662\u0662\u0662", "\uff10\uff11\uff12"],
+                         ids=["arabic", "fullwidth"])
+def test_inline_signal_takes_ascii_digits_only(tmp_path, matrix_a_file, capsys, digits):
+    # float() reads each of these characters as a digit
+    out = tmp_path / "c.csv"
+    rc = main(["encode", "--matrix", matrix_a_file, "--signal-inline", digits, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"ValidationError: inline signal character {digits[0]!r} is not a digit\n")
 
 
 @pytest.mark.parametrize("argv", [["verify", "--q", "2", "--samples", "200"],
@@ -718,6 +764,41 @@ _SESSION = [
 ]
 
 
+# each kind of argv the parser itself rejects, and a piece of its message
+_PARSER_REJECTS = {
+    "unknown-flag": (["encode", "--matrix", "{A}", "--signal", "{f}", "--bogus", "x"],
+                     "unrecognized arguments: --bogus x"),
+    "unknown-argument-with-newline": (["encode", "--matrix", "{A}", "--signal", "{f}", "x\ny"],
+                                      "unrecognized arguments: x\\ny"),
+    "missing-flag": (["encode", "--signal", "{f}"],
+                     "the following arguments are required: --matrix"),
+    "missing-subcommand": (["--tol", "1e-6"], "the following arguments are required: subcommand"),
+    "unknown-subcommand": (["frobnicate"], "argument subcommand: invalid choice: 'frobnicate'"),
+    "bad-type": (["kernel-check", "--matrix", "{A}", "--q", "\u0663"],
+                 "argument --q: invalid ascii_int value: '\u0663'"),
+    "bad-choice": (["gen-matrix", "--entry", "0.4", "--branch", "sideways"],
+                   "argument --branch: invalid choice: 'sideways'"),
+    "exclusive-pair": (["encode", "--matrix", "{A}", "--signal", "{f}", "--signal-inline", "012"],
+                       "argument --signal-inline: not allowed with argument --signal"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_PARSER_REJECTS))
+def test_parser_rejection_is_one_validation_line(tmp_path, matrix_a_file, signal_file, capsys,
+                                                 kind):
+    # argparse's own error() would print the usage lines before its message; one
+    # "--out=" token leaves the missing subcommand missing
+    argv, message = _PARSER_REJECTS[kind]
+    out = tmp_path / "out"
+    paths = {"A": matrix_a_file, "f": signal_file}
+    assert main([arg.format(**paths) for arg in argv] + [f"--out={out}"]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ValidationError: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 class TestArgumentHandling:
     def test_unknown_flag_rejected(self):
         assert main(["encode", "--bogus", "x"]) == 2
@@ -847,6 +928,7 @@ class TestArgumentHandling:
         codes = [rc for rc, _, _ in cached[0]]
         assert {0, 1, 2} <= set(codes)
         assert codes[:5] == [0, 0, 0, 0, 0] and codes[-3:] == [0, 0, 2]
+        assert all(err.count("\n") == 1 for rc, _, err in cached[0] if rc == 2)
 
     def test_dispatch_reads_current_command(self, monkeypatch):
         # a tracer rebinds cmd_* after the parser is cached; main must call the new one

@@ -341,6 +341,28 @@ class TestSeededRng:
             assert np.array_equal(seeded_rng(seed).random(4), want)
 
 
+# every boolean argument of the package, and the array it selects the dtype of
+_FLAGS = {
+    "generate_random": lambda flag: generate_random(3, 1, complex_entries=flag).entries,
+    "random_signal": lambda flag: random_signal(3, 2, 1, complex_values=flag).values,
+}
+
+
+class TestBooleanArguments:
+    @pytest.mark.parametrize("value", ["no", "yes", 1, 0, None])
+    @pytest.mark.parametrize("site", list(_FLAGS))
+    def test_non_bool_rejected(self, site, value):
+        # "no" is truthy: it selected complex values
+        with pytest.raises(ValidationError, match="must be a bool, got "):
+            _FLAGS[site](value)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("site", list(_FLAGS))
+    def test_numpy_bool_is_the_bool(self, site, value):
+        got, want = _FLAGS[site](np.bool_(value)), _FLAGS[site](value)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path, matrix_a):
         path = tmp_path / "a.json"
