@@ -5,13 +5,13 @@ goes through the declared file formats (matrix JSON, signal/coefficient
 CSV, transcript and masked-system JSON, sweep CSV).  Exit codes: 0 on
 success, 1 on numeric failures (no solution, no convergence, not
 unitary), 2 on validation errors and on sizes that cannot be allocated,
-with a single-line diagnostic on stderr.  A flag the parser rejects
-(unknown, missing, malformed, or in conflict with another) is one such
-``ValidationError`` line, with no usage text.  The spelling rules of flag
-values are the library's: ``matrix.ascii_int`` for integers,
-``matrix.ascii_float`` for floats, ``transform.signal_from_digits`` for
-``--signal-inline``.  Runs are deterministic given their flags; all
-randomness is seeded.
+with a single-line diagnostic on stderr, where a newline is written
+``\\n``.  A flag the parser rejects (unknown, missing, malformed, or in
+conflict with another) is one such ``ValidationError`` line, with no
+usage text.  The spelling rules of flag values are the library's:
+``matrix.ascii_int`` for integers, ``matrix.ascii_float`` for floats,
+``transform.signal_from_digits`` for ``--signal-inline``.  Runs are
+deterministic given their flags; all randomness is seeded.
 """
 
 from __future__ import annotations
@@ -70,9 +70,7 @@ def _add_signal_args(p):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        # main prints it as one line, exit code 2; argparse quotes an unrecognized
-        # argument raw, and it may hold a newline
-        raise ValidationError(message.replace("\n", "\\n"))
+        raise ValidationError(message)  # main prints it as one line, exit code 2
 
 
 @functools.cache  # one parser per process; main looks up cmd_* on every call
@@ -325,12 +323,10 @@ def main(argv=None) -> int:
         return int(command(args) or 0)
     except SystemExit as exc:  # --help; the parser raises ValidationError for a bad flag
         return 0 if exc.code in (0, None) else int(exc.code)
-    except NumericError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValidationError, OSError, MemoryError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    except (NumericError, ValidationError, OSError, MemoryError) as exc:
+        # one line: a message may quote a path or an argument that holds a newline
+        print(f"{type(exc).__name__}: {exc}".replace("\n", "\\n"), file=sys.stderr)
+        return 1 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

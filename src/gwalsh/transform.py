@@ -14,11 +14,11 @@ all.  Each stage is one product that contracts the leading digit and
 writes it last (the self-sorting form).  The coefficient index uses
 least-significant-first digits while the cell index uses
 most-significant-first digits, so the transform also reverses the digit
-order.  Both are done in one or two cache-blocked passes: a pass
-contracts leading digits over one cache-sized column block at a time,
-reverses the block's new digits while it is in cache, and writes the
-block out behind the digits still to come (the last forward pass writes
-it in front), so no pass ever reorders digit groups.  Below 2^15 cells
+order.  Both are done in one or two cache-blocked passes, by one rule in
+both directions: a pass runs over one cache-sized block at a time and
+reverses a block's new digits in cache; a first pass writes it transposed
+into a fresh array, the last writes it where it read it.  No pass reorders
+digit groups, and a transform allocates one full-size array.  Below 2^15 cells
 the whole transform is one block on the calling thread.  A pass of at
 least 32 blocks (about 2^20 cells and more) splits the blocks after its
 first, which share no output, into two halves: the second half runs on a
@@ -259,20 +259,19 @@ def _butterfly(a: WalshMatrix, data: np.ndarray, q: int, inverse: bool,
     as in q full-array stages ``x = x.reshape(N, -1).T @ kernel.T``.
 
     The stages run as one or two passes, over the digit groups of
-    ``_digit_groups``.  A pass reads column blocks of the (N^m, rest) view,
-    runs its m stages on each block, reverses the block's m new digits and
-    writes it as rows of a (rest, N^m) array.  The last forward pass writes
-    columns of an (N^m, rest) array instead, which puts the two groups in
-    reversed order, so no pass reorders them.  The inverse mirrors this: it
-    reverses a block's digits before the products, and its first pass reads
-    its group from the trailing digits.
+    ``_digit_groups``; the inverse runs the forward's passes backwards.  A
+    pass reads column blocks of the (N^m, rest) view forward, and row
+    blocks of the (rest, N^m) view inverse.  It runs its m stages on each
+    block and reverses the block's m new digits.  A first pass of two
+    writes each block in the other orientation into a fresh array, which
+    puts the two groups in reversed order, so no pass reorders them.
 
-    Every pass but the last forward one writes a fresh array.  The last
-    forward pass writes each block back over the columns it has just read
-    when its input belongs to the driver and has the result's dtype: the
+    The last pass writes each block where it read it: back over its input
+    when that input belongs to the driver and has the result's dtype (the
     first pass's output in a two-pass transform, or a C-contiguous ``data``
-    when ``overwrite`` is true.  Otherwise ``data`` is only read, and the
-    result is a flat array that the driver allocated, not a view of one.
+    when ``overwrite`` is true), else into a fresh array.  ``data`` is only
+    read otherwise, and the result is a flat array that the driver
+    allocated, not a view of one.
 
     A block reads and writes only its own columns or rows.  The calling
     thread runs the first block alone, because its product fixes the output
@@ -288,11 +287,11 @@ def _butterfly(a: WalshMatrix, data: np.ndarray, q: int, inverse: bool,
     for i, m in enumerate(groups):
         lead = base**m
         rest = data.size // lead
-        src = data.reshape(rest, lead).T if inverse and i == 0 else data.reshape(lead, rest)
+        src = data.reshape(rest, lead).T if inverse else data.reshape(lead, rest)
         # a one-digit pass stays one full-array product, as unblocked: BLAS rounds
         # its blocks differently (at N = 65, 504 columns against 4225), not bit-identical
         cols = max(1, _BLOCK // lead) if m > 1 else rest
-        last = not inverse and i == len(groups) - 1
+        last = i == len(groups) - 1
         blk = _block(kernel, src, 0, cols, base, m, inverse)
         # allocated after the products: exchanges ran ~15% slower the other way
         if last and (overwrite or i > 0) and blk.dtype == data.dtype:
@@ -301,7 +300,7 @@ def _butterfly(a: WalshMatrix, data: np.ndarray, q: int, inverse: bool,
             out = data if i > 0 else data.reshape(-1)
         else:
             out = np.empty(data.size, dtype=blk.dtype)
-        dst = out.reshape(lead, rest).T if last else out.reshape(rest, lead)
+        dst = out.reshape(lead, rest).T if last != inverse else out.reshape(rest, lead)
         dst = dst.reshape((rest,) + (base,) * m)
         dst[:cols] = blk
 
@@ -468,20 +467,24 @@ def random_signal(base: int, q: int, seed: int, complex_values: bool = False) ->
     width = cell_count(base, q)
     complex_values = as_bool(complex_values, "complex_values")
     rng = seeded_rng(seed)
-    values = rng.random(width)
     if complex_values:
-        values = values + 1j * rng.random(width)
+        values = np.empty(width, dtype=np.complex128)
+        values.real = rng.random(width)
+        values.imag = rng.random(width)
+    else:
+        values = rng.random(width)
+    values.flags.writeable = False  # its own array, kept without a copy
     return Signal(base=base, q=q, values=values)
 
 
 def signal_from_digits(text: str, base: int) -> Signal:
     """Signal whose cell j takes the value of the j-th character, an ASCII digit.
 
-    Outer whitespace is stripped.  ``float()`` alone would also read digits
-    such as ``٢`` and ``２``; :func:`matrix.ascii_int` rejects them too.
+    Any other character is rejected, a space too, as :func:`matrix.ascii_int`
+    rejects it; ``float()`` alone would also read digits such as ``٢`` and
+    ``２``.  A blank text is an empty signal.
     """
-    text = text.strip()
-    if not text:
+    if not text.strip():
         raise ValidationError("empty inline signal")
     if not (text.isascii() and text.isdigit()):
         bad = next(ch for ch in text if ch not in "0123456789")

@@ -518,16 +518,30 @@ def test_superscript_inline_signal_exit_two(tmp_path, matrix_a_file):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("digits", ["\u0662\u0662\u0662", "\uff10\uff11\uff12"],
-                         ids=["arabic", "fullwidth"])
+@pytest.mark.parametrize("digits", ["\u0662\u0662\u0662", "\uff10\uff11\uff12", " 012 "],
+                         ids=["arabic", "fullwidth", "outer-spaces"])
 def test_inline_signal_takes_ascii_digits_only(tmp_path, matrix_a_file, capsys, digits):
-    # float() reads each of these characters as a digit
+    # float() reads each of these characters as a digit, and strip() would drop the spaces
     out = tmp_path / "c.csv"
     rc = main(["encode", "--matrix", matrix_a_file, "--signal-inline", digits, "--out", str(out)])
     assert rc == 2
     assert not out.exists()
     assert capsys.readouterr().err == (
         f"ValidationError: inline signal character {digits[0]!r} is not a digit\n")
+
+
+def test_path_with_newline_one_stderr_line(tmp_path, capsys):
+    # the message quotes the path, and the path holds a newline
+    matrix = tmp_path / "a\nb.json"
+    matrix.write_text("{bad")
+    out = tmp_path / "c.csv"
+    rc = main(["encode", "--matrix", str(matrix), "--signal-inline", "012", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("ValidationError: malformed matrix JSON in ")
+    assert "a\\nb.json: " in lines[0]
 
 
 @pytest.mark.parametrize("argv", [["verify", "--q", "2", "--samples", "200"],
