@@ -31,8 +31,7 @@ from .matrix import WalshMatrix, as_integer, is_integer, seeded_rng
 
 #: largest grid size for which dense N^q x N^q matrices may be formed
 MAX_GRID = 2048
-#: most point pairs kernel_deviation samples: bounds its 16 MB point array and its time,
-#: linear in samples * q (0.3 s at (8, 6), 2 s at (2, 52); about 21 MB at peak)
+#: most point pairs kernel_deviation samples: bounds its 16 MB point array and its time
 MAX_SAMPLES = 10**6
 #: point pairs kernel_deviation evaluates at once, about 5 MB of temporaries
 _SAMPLE_CHUNK = 2**15

@@ -199,10 +199,10 @@ def _companion(args, a):
 
 
 def cmd_solve_b(args) -> int:
-    if args.masked_out and args.mask_seed is None:
+    if args.masked_out is not None and args.mask_seed is None:
         raise ValidationError("--masked-out needs --mask-seed")
     b, masked = _companion(args, load_matrix(args.matrix, tol=args.tol))
-    if args.masked_out:  # only once B is certified against it
+    if args.masked_out is not None:  # only once B is certified against it
         protocol.save_masked_system(masked, args.masked_out)
     save_matrix(b, args.out)
     return 0
@@ -280,7 +280,7 @@ def cmd_verify(args) -> int:
     mart = martingale_check(a, random_signal(a.n, q_sig, seed=args.seed), q_sig - 1)
     report["martingale_exp_residual"] = mart.exp_residual
     report["martingale_tower_residual"] = mart.tower_residual
-    if args.matrix_b:
+    if args.matrix_b is not None:
         b = load_matrix(args.matrix_b, tol=args.tol)
         report["pairing_row_residual"] = pairing_check_rows(a, b, tol=args.tol).worst_residual
         report["pairing_basis_residual"] = pairing_check_basis(
@@ -299,7 +299,7 @@ def cmd_verify(args) -> int:
 
 def cmd_exchange(args) -> int:
     a = load_matrix(args.matrix, tol=args.tol)
-    if args.matrix_b:
+    if args.matrix_b is not None:
         _reject_unread(args, "--matrix-b", "branch", "seed")
         b = load_matrix(args.matrix_b, tol=args.tol)
     elif args.r is None and args.mask_seed is None:
@@ -307,7 +307,7 @@ def cmd_exchange(args) -> int:
     else:
         b, _ = _companion(args, a)
     s = _load_signal(args, a.n)
-    channel = protocol.DirectoryChannel(args.msg_dir) if args.msg_dir else None
+    channel = None if args.msg_dir is None else protocol.DirectoryChannel(args.msg_dir)
     transcript = run_exchange(a, b, s, channel=channel)
     save_transcript(transcript, args.out)
     if transcript.pairing_violated:

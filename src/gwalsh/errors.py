@@ -20,7 +20,7 @@ class NumericError(GwalshError):
 
 
 class BadDimensionError(ValidationError):
-    """Matrix is not square or its size is below 2."""
+    """Matrix not square, of size below 2 or above MAX_N, or not of its declared n."""
 
 
 class BadFirstRowError(ValidationError):
@@ -32,7 +32,7 @@ class NotUnitaryError(NumericError):
 
 
 class DimensionMismatchError(ValidationError):
-    """Two matrices (or a row index) of incompatible size."""
+    """Two matrices of different sizes, or a masked system whose n is not the matrix's."""
 
 
 class OutOfRangeError(NumericError):

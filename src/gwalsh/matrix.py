@@ -46,8 +46,7 @@ BRANCHES = ("plus", "minus")
 
 _MAX_DRAWS = 64
 
-#: largest matrix size: the widest lead the blocked butterfly passes are built
-#: for; generate_random's Gram-Schmidt takes minutes there (3.6 on one 2-core VM)
+#: largest matrix size: the widest lead the blocked butterfly passes are built for
 MAX_N = 4096
 
 
@@ -345,6 +344,7 @@ def matrix_from_dict(d: dict, tol: float | None = None) -> WalshMatrix:
 
 
 def save_matrix(m: WalshMatrix, path) -> None:
+    """Write ``m`` as matrix JSON (``n``, ``tol``, ``entries``) that re-parses bit-exactly."""
     write_json(matrix_to_dict(m), path)
 
 
@@ -374,4 +374,5 @@ def write_json(payload, path=None) -> None:
 
 
 def load_matrix(path, tol: float | None = None) -> WalshMatrix:
+    """The matrix of a matrix JSON file, validated at ``tol``, or at the file's ``tol`` if None."""
     return matrix_from_dict(read_json(path, "matrix"), tol=tol)

@@ -8,11 +8,8 @@ of non-constant rows satisfies
 that is, when the cross-Gram ``B[1:] A[1:]^H`` is Hermitian; the row
 check includes l = k, which binds only complex matrices.  This is
 equivalent to the same identity between their Walsh functions in L2[0,1],
-which :func:`pairing_check_basis` checks brute force: it analyses all of
-B's N^q Walsh functions, read cell-major off the grid, by A's forward
-kernel in one batched butterfly pass, q N^(2q+1) multiplies.  Both checks
-return a :class:`PairingReport`; they and the numeric companion's
-certification scan with :func:`_hermitian_defect`.
+which :func:`pairing_check_basis` checks brute force.  Both checks return
+a :class:`PairingReport`.
 For a companion pair, analysis by A and synthesis by B compose to the
 identity after two rounds, which carries a four-message exchange:
 
@@ -33,12 +30,7 @@ back from the published system up to sign.
 
 Exchange messages pass through a channel, which stores each message on
 ``put`` and rebuilds and checks it on ``get``, so no party ever holds the
-sender's array.  :class:`DirectoryChannel` writes the CSV of
-:mod:`gwalsh.transform`; :class:`InMemoryChannel` keeps the value bytes
-and rebuilds each message with that CSV reader's checks.  Both round-trip
-every message bit-exactly.  Without a channel, :func:`run_exchange` sends
-each message over its own in-memory channel, dropped once the message is
-received.
+sender's array; both channels round-trip every message bit-exactly.
 """
 
 from __future__ import annotations
@@ -178,14 +170,13 @@ def _walsh_cross(a: WalshMatrix, b: WalshMatrix, q: int,
 
     The columns of the C-contiguous (cells, N^q) array ``grid_matrix(b, q).T``
     are B's Walsh functions, and A's forward kernel analyses them all at once,
-    in one pass: the grid has at most MAX_GRID cells.  From about 1000 cells
-    (q >= 2) the pass has 32 blocks or more, and it splits in two halves.
-    The pass writes its result over the grid.  With ``out``, a flat array of
-    at least N^(2q) values of the result's dtype, the grid is built in ``out``
-    (complex when A is, for a real B too), and the result views its prefix:
-    the call allocates no full-size array.  Without it the grid is a fresh
-    array, and the check holds one N^(2q) array, or two when a complex A
-    analyses a real B.
+    in one pass: the grid has at most MAX_GRID cells.  The pass writes its
+    result over the grid.  With ``out``, a flat array of at least N^(2q)
+    values of the result's dtype, the grid is built in ``out`` (complex when
+    A is, for a real B too), and the result views its prefix: the call
+    allocates no full-size array.  Without it the grid is a fresh array, and
+    the check holds one N^(2q) array, or two when a complex A analyses a
+    real B.
     """
     cells = grid_matrix(b, q, _out=out).T
     # the pass writes coefficient k of column l at [k, l]
@@ -521,10 +512,12 @@ def transcript_from_dict(d: dict) -> ExchangeTranscript:
 
 
 def save_transcript(t: ExchangeTranscript, path) -> None:
+    """Write ``t`` as transcript JSON, which :func:`load_transcript` reads back bit-exactly."""
     write_json(transcript_to_dict(t), path)
 
 
 def load_transcript(path) -> ExchangeTranscript:
+    """The transcript of a transcript JSON file; any other content raises ValidationError."""
     return transcript_from_dict(read_json(path, "transcript"))
 
 
@@ -553,8 +546,10 @@ def masked_system_from_list(raw) -> MaskedConstraintSystem:
 
 
 def save_masked_system(m: MaskedConstraintSystem, path) -> None:
+    """Write ``m`` as masked-system JSON: a list of ``{"coeffs": {...}, "rhs": ...}``."""
     write_json(masked_system_to_list(m), path)
 
 
 def load_masked_system(path) -> MaskedConstraintSystem:
+    """The masked system of a JSON file; its n is 1 + the largest index its unknowns name."""
     return masked_system_from_list(read_json(path, "masked-system"))

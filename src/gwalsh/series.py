@@ -52,12 +52,16 @@ class PartialSumReport:
 
 @dataclass(frozen=True)
 class MartingaleReport:
+    """Residuals of E[f | F_q] = S_{N^q}(f) and of the tower identity (:func:`martingale_check`)."""
+
     exp_residual: float
     tower_residual: float
 
 
 @dataclass(frozen=True)
 class NormBoundReport:
+    """Norms of S_{N^q}(f) over those of f, in L1 and Linf, both at most 1 (norm_bound_check)."""
+
     l1_ratio: float
     linf_ratio: float
 
@@ -113,49 +117,10 @@ def partial_sum(a: WalshMatrix, s: Signal, k: int, q_eval: int) -> PartialSumRep
     Requires every W_n with n < k to be constant on q_eval-cells, and
     (for a signal in the matrix base) q_eval at least the signal
     resolution.  When k = N^q_eval the result is the exact cell average
-    of the signal, bypassing the transform.
+    of the signal, bypassing the transform.  It is :func:`convergence_sweep`
+    at the one truncation k.
     """
-    return _partial_sums(a, s, [as_integer(k, "truncation k")], as_integer(q_eval, "q_eval"))[0]
-
-
-def _partial_sums(a: WalshMatrix, s: Signal, ks, q_eval: int) -> list[PartialSumReport]:
-    """:func:`partial_sum` for each k of the ascending ``ks``, from one analysis.
-
-    The signal is averaged and refined to the common grid at the first k and
-    analysed at the first k below N^q_eval; each such k is synthesized from a
-    copy of the coefficients with the tail zeroed.  The checks run per k in
-    ascending order, so a bad k raises as a call of :func:`partial_sum` per k
-    would.
-    """
-    reports, averaged, refined, coeffs = [], None, None, None
-    for k in ks:
-        if k < 1:
-            raise ValidationError(f"truncation k must be at least 1, got {k}")
-        needed = max(1, digit_length(k - 1, a.n))
-        if q_eval < needed:
-            raise ResolutionTooCoarseError(
-                f"q_eval={q_eval} too coarse: W_n with n < {k} need resolution {needed}"
-            )
-        if s.base == a.n and q_eval < s.q:
-            raise ResolutionTooCoarseError(
-                f"q_eval={q_eval} below the signal resolution {s.q}"
-            )
-        if averaged is None:
-            averaged, refined = _average_and_refine(s, q_eval, a.n)
-        if k == len(averaged):
-            values = averaged.values
-        else:
-            if coeffs is None:
-                coeffs = dwt_fast(a, averaged).coeffs
-            truncated = coeffs.copy()
-            truncated[k:] = 0
-            values = idwt(a, CoefficientVector(base=a.n, q=q_eval, coeffs=truncated)).values
-        sup, l1, l2 = _difference_norms(values, refined)
-        reports.append(PartialSumReport(
-            k=k, base=a.n, q_eval=q_eval, values=values,
-            sup_error=sup, l1_error=l1, l2_error=l2,
-        ))
-    return reports
+    return convergence_sweep(a, s, [k], q_eval)[0]
 
 
 def _eval_resolution(a: WalshMatrix, s: Signal, q: int) -> int:
@@ -206,13 +171,47 @@ def convergence_sweep(
     """One :class:`PartialSumReport` per truncation, ordered by k ascending.
 
     Purely observational for truncations that are not powers of N.  The
-    signal is analysed once for the whole sweep.
+    signal is averaged and refined to the common grid once, at the first k,
+    and analysed once, at the first k below N^q_eval; each such k is
+    synthesized from a copy of the coefficients with the tail zeroed.  The
+    checks run per k in ascending order, so a bad k raises as a call of
+    :func:`partial_sum` per k would.
     """
     ks = sorted({as_integer(k, "truncation k") for k in k_list})
-    return _partial_sums(a, s, ks, as_integer(q_eval, "q_eval"))
+    q_eval = as_integer(q_eval, "q_eval")
+    reports, averaged, refined, coeffs = [], None, None, None
+    for k in ks:
+        if k < 1:
+            raise ValidationError(f"truncation k must be at least 1, got {k}")
+        needed = max(1, digit_length(k - 1, a.n))
+        if q_eval < needed:
+            raise ResolutionTooCoarseError(
+                f"q_eval={q_eval} too coarse: W_n with n < {k} need resolution {needed}"
+            )
+        if s.base == a.n and q_eval < s.q:
+            raise ResolutionTooCoarseError(
+                f"q_eval={q_eval} below the signal resolution {s.q}"
+            )
+        if averaged is None:
+            averaged, refined = _average_and_refine(s, q_eval, a.n)
+        if k == len(averaged):
+            values = averaged.values
+        else:
+            if coeffs is None:
+                coeffs = dwt_fast(a, averaged).coeffs
+            truncated = coeffs.copy()
+            truncated[k:] = 0
+            values = idwt(a, CoefficientVector(base=a.n, q=q_eval, coeffs=truncated)).values
+        sup, l1, l2 = _difference_norms(values, refined)
+        reports.append(PartialSumReport(
+            k=k, base=a.n, q_eval=q_eval, values=values,
+            sup_error=sup, l1_error=l1, l2_error=l2,
+        ))
+    return reports
 
 
 def sweep_to_csv(reports: list[PartialSumReport]) -> str:
+    """Header ``k,sup_error,l1_error,l2_error``, then one row per report, CSV_DIGITS digits."""
     lines = ["k,sup_error,l1_error,l2_error"]
     field = _float_format(CSV_DIGITS)
     for r in reports:
@@ -222,4 +221,5 @@ def sweep_to_csv(reports: list[PartialSumReport]) -> str:
 
 
 def write_sweep_csv(reports: list[PartialSumReport], path) -> None:
+    """Write the sweep CSV of ``reports`` (:func:`sweep_to_csv`) to ``path``."""
     Path(path).write_text(sweep_to_csv(reports))

@@ -14,17 +14,9 @@ all.  Each stage is one product that contracts the leading digit and
 writes it last (the self-sorting form).  The coefficient index uses
 least-significant-first digits while the cell index uses
 most-significant-first digits, so the transform also reverses the digit
-order.  Both are done in one or two cache-blocked passes, by one rule in
-both directions: a pass runs over one cache-sized block at a time and
-reverses a block's new digits in cache; a first pass writes it transposed
-into a fresh array, the last writes it where it read it.  No pass reorders
-digit groups, and a transform allocates one full-size array.  Below 2^15 cells
-the whole transform is one block on the calling thread.  A pass of at
-least 32 blocks (about 2^20 cells and more) splits the blocks after its
-first, which share no output, into two halves: the second half runs on a
-thread joined before the pass ends.
-The halves run the same products, so they never change the result;
-BLAS's own threads can change the last bits of a large one-digit pass.
+order.  Both are done in one or two cache-blocked passes by
+``_butterfly``, whose docstring states the one rule of both directions;
+a transform allocates one full-size array.
 
 The inverse transform synthesizes v_j = sum_n c_n * W_n(cell j) with the
 transposed stage structure.  For a unitary matrix this is the exact
@@ -34,9 +26,7 @@ is still the synthesis operator (no numerical matrix inversion).
 The one message format of :class:`Signal` and :class:`CoefficientVector`
 lives here too: the CSV (:func:`message_to_text`, :func:`message_from_text`),
 with the one float rule of every CSV file.  The reader checks only its
-format: the message type checks N, q and the N^q count, then one check
-(``_message``, which the in-memory channel's ``get`` runs too) rejects
-"non-finite value in a gwalsh <kind> message".
+format, and ends in ``_message``, as the in-memory channel's ``get`` does.
 """
 
 from __future__ import annotations
@@ -111,6 +101,7 @@ class Signal:
 
     @classmethod
     def from_values(cls, base: int, values) -> "Signal":
+        """The signal of ``values``, q read off their count, which must be a power of ``base``."""
         arr = _flat_array(values)[0]
         return cls(base=base, q=_infer_q(base, arr.shape[0]), values=arr)
 
@@ -195,9 +186,7 @@ def dwt_naive(a: WalshMatrix, s: Signal) -> CoefficientVector:
 _LEAD = 4096
 _BLOCK = 2**15
 # A pass splits its blocks into two halves only when it has at least
-# _SPLIT_BLOCKS of them.  Measured on two CPUs, in alternating fresh processes:
-# two halves won 10 of 10 pairs at the 1M-cell sizes (32 to 53 blocks per
-# pass), and 5 to 7 of 10 at 2^17, 2^18, 2^19 and 3^11 (4 to 16).
+# _SPLIT_BLOCKS of them: below that, two halves were not measurably faster.
 _SPLIT_BLOCKS = 32
 
 
@@ -278,7 +267,9 @@ def _butterfly(a: WalshMatrix, data: np.ndarray, q: int, inverse: bool,
     dtype and the output is allocated after it.  A pass of at least
     ``_SPLIT_BLOCKS`` blocks splits the others into two halves
     (``_run_halves``); any other pass, and so every one-pass transform, runs
-    them all on the calling thread.
+    them all on the calling thread.  The halves run the same products, so
+    they never change the result; BLAS's own threads can change the last
+    bits of a large one-digit pass.
     """
     base = a.n
     # analysis by conj(sqrt(N) A) / N, row 0 exactly 1/N; synthesis by (sqrt(N) A)^T
@@ -293,7 +284,7 @@ def _butterfly(a: WalshMatrix, data: np.ndarray, q: int, inverse: bool,
         cols = max(1, _BLOCK // lead) if m > 1 else rest
         last = i == len(groups) - 1
         blk = _block(kernel, src, 0, cols, base, m, inverse)
-        # allocated after the products: exchanges ran ~15% slower the other way
+        # allocated after the first block's products: allocating first slowed exchanges
         if last and (overwrite or i > 0) and blk.dtype == data.dtype:
             # each block is read in full before it is written back; the first
             # pass's output is flat already, and is returned itself, not a view
@@ -447,18 +438,22 @@ def message_from_text(text: str, kind: str | None = None):
 
 
 def write_signal(s: Signal, path, digits: int | None = None) -> None:
+    """Write ``s`` as signal CSV (:func:`message_to_text`), bit-exact if ``digits`` is None."""
     Path(path).write_text(message_to_text(s, digits))
 
 
 def read_signal(path) -> Signal:
+    """The signal of a signal CSV file; any other text raises ValidationError."""
     return message_from_text(read_text(path, "signal"), "signal")
 
 
 def write_coefficients(c: CoefficientVector, path, digits: int | None = None) -> None:
+    """Write ``c`` as coefficient CSV (:func:`message_to_text`), bit-exact if ``digits`` is None."""
     Path(path).write_text(message_to_text(c, digits))
 
 
 def read_coefficients(path) -> CoefficientVector:
+    """The coefficients of a coefficient CSV file; any other text raises ValidationError."""
     return message_from_text(read_text(path, "coefficient"), "coeffs")
 
 
@@ -482,7 +477,7 @@ def signal_from_digits(text: str, base: int) -> Signal:
 
     Any other character is rejected, a space too, as :func:`matrix.ascii_int`
     rejects it; ``float()`` alone would also read digits such as ``٢`` and
-    ``２``.  A blank text is an empty signal.
+    ``２``.  An empty or blank text raises "empty inline signal".
     """
     if not text.strip():
         raise ValidationError("empty inline signal")

@@ -267,6 +267,24 @@ class TestWalshEval:
             split = walsh_eval(a, n, x) * walsh_eval(a, m * base**p, x)
             assert abs(combined - split) <= 1e-12
 
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("base", [2, 3, 4, 5])
+    def test_paper_definition(self, base, complex_entries):
+        # W_n(x) = m_{i_0}(x) m_{i_1}(r x) m_{i_2}(r^2 x) for n < N^3, with i_t the
+        # digits of n, least significant first, and r^t the iterated shift
+        a = generate_random(base, seed=base, complex_entries=complex_entries)
+        width = base**3
+        for j in range(width):
+            x = (2 * j + 1) / (2 * width)  # the midpoint of level-3 cell j
+            shifted = [x]  # x, r(x), r^2(x)
+            for _ in range(2):
+                shifted.append(r_map(shifted[-1], base))
+            for n in range(width):
+                product = 1
+                for i_t, x_t in zip(digits(n, base, 3), shifted):
+                    product = product * m_eval(a, i_t, x_t)
+                assert abs(walsh_eval(a, n, x) - product) <= 1e-12
+
     def test_negative_index_rejected(self, matrix_a):
         # digits owns the n >= 0 check, so a point outside [0, 1) is reported first
         with pytest.raises(ValidationError, match="n must be nonnegative, got -1"):

@@ -568,6 +568,36 @@ def test_empty_out_is_a_path(tmp_path, matrix_a_file, capsys, monkeypatch, argv)
     assert captured.err.startswith("IsADirectoryError: ")
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["verify", "--q", "2", "--samples", "200", "--matrix-b", ""], "IsADirectoryError: "),
+    (["exchange", "--signal-inline", "012", "--matrix-b", ""], "IsADirectoryError: "),
+    (["solve-b", "--numeric", "--masked-out", ""],
+     "ValidationError: --masked-out needs --mask-seed"),
+    (["solve-b", "--numeric", "--mask-seed", "5", "--masked-out", ""], "IsADirectoryError: "),
+], ids=["verify-matrix-b", "exchange-matrix-b", "solve-b-masked-out",
+        "solve-b-masked-out-with-seed"])
+def test_empty_path_flag_is_a_path(tmp_path, matrix_a_file, capsys, monkeypatch, argv, error):
+    # only a flag left out is absent; "" names the working directory, not a file
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--matrix", matrix_a_file, "--out", str(out)]) == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(error)
+
+
+def test_empty_msg_dir_is_the_working_directory(tmp_path, matrix_a_file, matrix_b_file,
+                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["exchange", "--matrix", matrix_a_file, "--matrix-b", matrix_b_file,
+            "--signal-inline", "012"]
+    assert main(argv + ["--msg-dir", "", "--out", "t.json"]) == 0
+    assert sorted(path.name for path in tmp_path.glob("w*.csv")) == ["w1.csv", "w2.csv", "w3.csv"]
+    assert main(argv + ["--out", "t_mem.json"]) == 0
+    assert (tmp_path / "t.json").read_bytes() == (tmp_path / "t_mem.json").read_bytes()
+
+
 class TestVerify:
     def test_reference_matrix_passes(self, tmp_path, matrix_a_file):
         out = tmp_path / "report.json"

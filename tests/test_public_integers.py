@@ -1,5 +1,7 @@
 """One sweep over the public API: every ``int`` parameter follows ``matrix.is_integer``.
 
+It also checks that every export states its contract in a docstring of its own.
+
 Each public callable of ``gwalsh`` with a parameter annotated ``int`` (or
 ``int | None``) has one valid call in ``VALID_CALLS``.  For each such
 parameter the sweep substitutes the same number as ``True``, a float and a
@@ -136,3 +138,17 @@ def test_numpy_integer_gives_the_result_of_the_int(tmp_path, name, param, numpy_
 def test_numpy_q_of_one_builds_the_one_digit_grid():
     # a q kept as np.uint8(1) wraps q - 2 to 255 steps, which run out of memory at N = 3
     assert _same(gwalsh.grid_matrix(A, np.uint8(1)), gwalsh.grid_matrix(A, 1))
+
+
+def test_every_export_states_its_contract():
+    # a dataclass without a docstring gets its signature as __doc__, and a class
+    # never inherits one; so each name is read off its own __doc__
+    missing = []
+    for name in dir(gwalsh):
+        obj = getattr(gwalsh, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        doc = vars(obj).get("__doc__") if isinstance(obj, type) else obj.__doc__
+        if not (doc and doc.strip()) or doc.startswith(f"{name}("):
+            missing.append(name)
+    assert missing == []
