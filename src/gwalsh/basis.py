@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import BadRowError, DigitOverflowError, OutOfDomainError, ValidationError
-from .matrix import WalshMatrix, as_integer, is_integer, seeded_rng
+from .matrix import WalshMatrix, as_integer, as_real, is_integer, seeded_rng
 
 #: largest grid size for which dense N^q x N^q matrices may be formed
 MAX_GRID = 2048
@@ -57,6 +57,11 @@ def digit_length(n: int, base: int) -> int:
     return length
 
 
+def _resolution(n: int, base: int) -> int:
+    """Resolution of W_n: it is constant on the cells of max(1, base-N digits of n)."""
+    return max(1, digit_length(n, base))
+
+
 def digits(n: int, base: int, pad_to: int | None = None) -> tuple[int, ...]:
     """Base-N digits of n, least significant first, zero-padded to ``pad_to``; all integers."""
     n, base = as_integer(n, "n"), as_integer(base, "base")
@@ -75,7 +80,7 @@ def digits(n: int, base: int, pad_to: int | None = None) -> tuple[int, ...]:
 
 def r_map(x: float, base: int) -> float:
     """One step of the base-N shift, r(x) = (N x) mod 1, on [0, 1), for N >= 2."""
-    base = as_integer(base, "base")
+    base, x = as_integer(base, "base"), as_real(x, "x")
     return base * x - cell_of(x, base, 1).j
 
 
@@ -99,7 +104,8 @@ def cell_count(base: int, q: int, limit: int = 2**53) -> int:
 
 
 def cell_of(x: float, base: int, q: int) -> CellIndex:
-    """Resolution-q cell containing x in [0, 1)."""
+    """Resolution-q cell containing x in [0, 1); x is a real number (:func:`matrix.as_real`)."""
+    x = as_real(x, "x")
     if not 0.0 <= x < 1.0:
         raise OutOfDomainError(f"x must lie in [0, 1), got {x!r}")
     width = cell_count(base, q)
@@ -137,7 +143,7 @@ def walsh_eval(a: WalshMatrix, n: int, x: float):
     Uses the cell of x at the resolution given by n's digit count; the
     result is the digit product described in the module docstring.
     """
-    q = max(1, digit_length(n, a.n))
+    q = _resolution(n, a.n)
     cell = cell_of(x, a.n, q)
     ndig = digits(n, a.n, pad_to=q)
     kdig = digits(cell.j, a.n, pad_to=q)[::-1]

@@ -199,6 +199,8 @@ def _companion(args, a):
 
 
 def cmd_solve_b(args) -> int:
+    if args.r is None and args.numeric is None:
+        raise ValidationError("provide --r (closed form) or --numeric")
     if args.masked_out is not None and args.mask_seed is None:
         raise ValidationError("--masked-out needs --mask-seed")
     b, masked = _companion(args, load_matrix(args.matrix, tol=args.tol))
@@ -231,12 +233,7 @@ def cmd_series(args) -> int:
         raise ValidationError(f"bad --k-list {args.k_list!r}") from None
     if not k_list:
         raise ValidationError("--k-list names no truncations")
-    q_eval = args.q
-    if q_eval is None:
-        q_eval = max(1, basis.digit_length(max(k_list) - 1, a.n))
-        if s.base == a.n:
-            q_eval = max(q_eval, s.q)
-    write_sweep_csv(convergence_sweep(a, s, k_list, q_eval), args.out)
+    write_sweep_csv(convergence_sweep(a, s, k_list, args.q), args.out)
     return 0
 
 

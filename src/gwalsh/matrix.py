@@ -79,10 +79,10 @@ def number_array(values, what: str) -> tuple[np.ndarray, np.dtype]:
 
 
 def _tolerance(tol, what: str) -> float:
-    """tol as a float: a real, positive, finite number, not a boolean; else ValidationError."""
-    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol <= sys.float_info.max:
-        raise ValidationError(f"{what} must be a positive finite number, got {tol!r}")
-    return float(tol)
+    """tol as a float: a real (:func:`as_real`), positive and finite; else ValidationError."""
+    if is_real(tol) and 0 < as_real(tol, what) < math.inf:
+        return float(tol)
+    raise ValidationError(f"{what} must be a positive finite number, got {tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,15 +168,15 @@ def generate_n3(a: float, row_choice: str = "second", branch: str = "plus") -> W
     The remaining two entries of the chosen row solve the unit-norm and
     zero-sum constraints (a quadratic; ``branch`` picks the root).  The
     other non-constant row is the right-handed cross-product completion,
-    which is the unique unit completion up to sign.  Requires a finite
-    |a| <= sqrt(2/3) (:class:`ValidationError` for NaN or inf); outside
-    that the quadratic has no real root (:class:`OutOfRangeError`).
+    which is the unique unit completion up to sign.  Requires a real
+    (:func:`as_real`), finite |a| <= sqrt(2/3) (:class:`ValidationError`
+    otherwise); outside that the quadratic has no real root (:class:`OutOfRangeError`).
     """
     if row_choice not in ROW_CHOICES:
         raise ValidationError(f"row_choice must be one of {ROW_CHOICES}, got {row_choice!r}")
     if branch not in BRANCHES:
         raise ValidationError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    a = float(a)
+    a = as_real(a, "the leading entry")
     if not math.isfinite(a):
         raise ValidationError(f"the leading entry must be finite, got a={a!r}")
     disc = 2.0 - 3.0 * a * a
@@ -213,6 +213,25 @@ def as_integer(value, what: str) -> int:
     if not is_integer(value):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def is_real(value) -> bool:
+    """True for a ``numbers.Real`` that is not a ``bool``: gwalsh's real arguments."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def as_real(value, what: str) -> float:
+    """``float(value)`` when :func:`is_real` holds for it; else ValidationError.
+
+    An int past the float range, which ``float()`` cannot read, raises it too.
+    """
+    if not is_real(value):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # named by size: the repr of a long int can pass Python's digit limit
+        raise ValidationError(
+            f"{what} must be in float range, got an int of {value.bit_length()} bits") from None
 
 
 def as_bool(value, what: str) -> bool:

@@ -54,7 +54,9 @@ from .matrix import (
     BRANCHES,
     DEFAULT_EXTERNAL_TOL,
     WalshMatrix,
+    _tolerance,
     as_integer,
+    as_real,
     constant_row,
     json_int,
     json_numbers,
@@ -156,8 +158,10 @@ def pairing_check_rows(a: WalshMatrix, b: WalshMatrix, tol: float = 1e-8) -> Pai
     The residual of (l, k) is ``|<b_l, a_k> - <a_l, b_k>|``, the Hermitian
     defect of ``B[1:] A[1:]^H``; ``worst_indices`` is the first row-major
     pair (l, k) of row numbers, 1 <= l <= k <= N-1, with the largest
-    residual (or NaN).
+    residual (or NaN).  ``tol`` follows the rule of every tolerance
+    (``matrix._tolerance``): a positive finite real number.
     """
+    tol = _tolerance(tol, "tol")
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
     worst, (l, k) = _hermitian_defect(b.entries[1:] @ a.entries[1:].conj().T)
@@ -198,7 +202,8 @@ def pairing_check_basis(
     product of two grid matrices.  ``count_multiplies`` does not count them.
     The residual ``|<W_l of B, W_k of A> - <W_l of A, W_k of B>|`` is the
     Hermitian defect of the cross matrix (:func:`_hermitian_defect`), and the
-    report names its first row-major maximum (or NaN).
+    report names its first row-major maximum (or NaN).  ``tol`` is a
+    tolerance, as in :func:`pairing_check_rows`.
 
     The cross matrix is built, analysed and scanned in one scratch array per
     thread, of N^(2q) float64 values (complex128 when A or B is complex).  It
@@ -209,6 +214,7 @@ def pairing_check_basis(
     pass's and the scan's blocks of about 2^15 values.  That saves time only
     where one process runs repeated checks; a one-shot check gains nothing.
     """
+    tol = _tolerance(tol, "tol")
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix sizes differ: {a.n} vs {b.n}")
     q = as_integer(q, "q")
@@ -248,15 +254,16 @@ def solve_companion(a: WalshMatrix, r: float, branch: str = "plus") -> WalshMatr
     picks the intersection) exactly when r^2 <= u[2]^2 + w[2]^2, which is
     2/3 for every valid A (A's last column is a unit vector starting with
     1/sqrt(3)).  Outside |r| <= sqrt(2/3) it raises
-    :class:`NoRealSolutionError`, whose message states the bound; a NaN or
-    infinite r raises :class:`ValidationError`.
+    :class:`NoRealSolutionError`, whose message states the bound; an r that
+    is not a real number (:func:`matrix.as_real`), NaN or infinite raises
+    :class:`ValidationError`.
     """
     if a.n != 3:
         raise ValidationError(f"closed-form companion solve requires n=3, got n={a.n}")
     if branch not in BRANCHES:
         raise ValidationError(f"branch must be one of {BRANCHES}, got {branch!r}")
     entries = _real_rows(a)
-    r = float(r)
+    r = as_real(r, "r")
     if not math.isfinite(r):
         raise ValidationError(f"r must be finite, got r={r!r}")
     u, w = entries[1], entries[2]
@@ -340,9 +347,10 @@ def solve_companion_numeric(
     ``tol``: orthonormal zero-sum rows, ``B A^H`` Hermitian outside row
     and column 0, and the equations of ``masked`` when given.  A failed
     certification raises :class:`NoConvergenceError` with the worst
-    residual.
+    residual; a ``tol`` that is not a tolerance, as in
+    :func:`pairing_check_rows`, raises :class:`ValidationError`.
     """
-    n = a.n
+    tol, n = _tolerance(tol, "tol"), a.n
     if masked is not None and masked.n != n:
         raise DimensionMismatchError(f"masked system has n={masked.n}, matrix has n={n}")
     if masked is not None and not a.is_real:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import cell_count, digit_length
+from .basis import _resolution, cell_count
 from .errors import (
     IncompatibleGridsError,
     ResolutionTooCoarseError,
@@ -166,7 +166,7 @@ def norm_bound_check(a: WalshMatrix, s: Signal, q: int) -> NormBoundReport:
 
 
 def convergence_sweep(
-    a: WalshMatrix, s: Signal, k_list, q_eval: int
+    a: WalshMatrix, s: Signal, k_list, q_eval: int | None = None
 ) -> list[PartialSumReport]:
     """One :class:`PartialSumReport` per truncation, ordered by k ascending.
 
@@ -175,15 +175,19 @@ def convergence_sweep(
     and analysed once, at the first k below N^q_eval; each such k is
     synthesized from a copy of the coefficients with the tail zeroed.  The
     checks run per k in ascending order, so a bad k raises as a call of
-    :func:`partial_sum` per k would.
+    :func:`partial_sum` per k would.  ``q_eval=None`` is the least
+    resolution they pass: that of W_n for n below the largest k, and at
+    least the signal's own q when the signal is in the matrix base.
     """
     ks = sorted({as_integer(k, "truncation k") for k in k_list})
+    if q_eval is None:
+        q_eval = max(_resolution(max(ks, default=1) - 1, a.n), s.q if s.base == a.n else 0)
     q_eval = as_integer(q_eval, "q_eval")
     reports, averaged, refined, coeffs = [], None, None, None
     for k in ks:
         if k < 1:
             raise ValidationError(f"truncation k must be at least 1, got {k}")
-        needed = max(1, digit_length(k - 1, a.n))
+        needed = _resolution(k - 1, a.n)
         if q_eval < needed:
             raise ResolutionTooCoarseError(
                 f"q_eval={q_eval} too coarse: W_n with n < {k} need resolution {needed}"

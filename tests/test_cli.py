@@ -115,6 +115,16 @@ class TestSolveB:
 
         assert pairing_check_rows(matrix_a, load_matrix(out), tol=1e-8).holds
 
+    @pytest.mark.parametrize("flags", [[], ["--mask-seed", "5"], ["--seed", "3"]],
+                             ids=["none", "mask-seed", "seed"])
+    def test_mode_required(self, tmp_path, matrix_a_file, capsys, flags):
+        # --numeric selects the numeric companion, as --r selects the closed form
+        out = tmp_path / "B.json"
+        assert main(["solve-b", "--matrix", matrix_a_file, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "ValidationError: provide --r (closed form) or --numeric\n")
+        assert not out.exists()
+
     def test_failed_solve_writes_no_file(self, tmp_path, matrix_a_file, monkeypatch):
         # the masked system is written only once B is certified against it
         def no_convergence(*args, **kwargs):

@@ -820,7 +820,8 @@ class TestSolveCompanionNumeric:
 
     def test_no_convergence_reports_best_residual(self, matrix_a):
         with pytest.raises(NoConvergenceError) as info:
-            solve_companion_numeric(matrix_a, None, seed=0, tol=0.0)
+            # tol must be positive: the least positive double is a bar no rounding meets
+            solve_companion_numeric(matrix_a, None, seed=0, tol=5e-324)
         assert info.value.best_residual < 1e-6  # solver got close, bar was impossible
 
     def test_certification_reads_the_pairing_residual(self, matrix_a, monkeypatch):

@@ -1,6 +1,8 @@
 """One sweep over the public API: every ``int`` parameter follows ``matrix.is_integer``.
 
-It also checks that every export states its contract in a docstring of its own.
+A second sweep does the same for every ``float`` parameter and
+``matrix.is_real``.  The file also checks that every export states its
+contract in a docstring of its own.
 
 Each public callable of ``gwalsh`` with a parameter annotated ``int`` (or
 ``int | None``) has one valid call in ``VALID_CALLS``.  For each such
@@ -8,10 +10,18 @@ parameter the sweep substitutes the same number as ``True``, a float and a
 string, which raise ValidationError, and as ``np.uint8`` and ``np.int64``,
 which give the result of the equal ``int``: the same values, bits and types,
 so every integer field of the result is an ``int``.
+
+Each one with a parameter annotated ``float`` (or ``float | None``) has one
+valid call in ``REAL_VALID_CALLS``.  ``True``, the value as a string,
+``None`` (unless the annotation allows it), NaN, inf and an int too long
+for a float or a repr raise ValidationError, and so do 0 and -1 for a
+tolerance ``tol``; ``np.float64`` and ``np.float32`` give the result of
+the equal ``float``.
 """
 
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +34,7 @@ A = validate(rv.MATRIX_A, tol=1e-10)
 B = solve_companion(A, 0.2)
 S = gwalsh.Signal(3, 2, np.arange(9.0) / 9)
 PATH = object()  # a writer's output file; the sweep compares the text written there
+A_FILE = object()  # a matrix file holding A, for the reader
 
 VALID_CALLS = {
     "CoefficientVector": (3, 2, np.arange(9.0)),
@@ -91,13 +102,19 @@ def test_every_callable_with_an_int_parameter_is_swept():
     assert not set(VALID_CALLS) & set(LEFT_OUT)
 
 
-def _call(name, args, tmp_path, **change):
-    fn = CALLABLES[name]
-    args = tuple(tmp_path / "out.csv" if arg is PATH else arg for arg in args)
-    bound = inspect.signature(fn).bind(*args)
+def _arg(arg, tmp_path):
+    if arg is A_FILE:
+        gwalsh.save_matrix(A, tmp_path / "A.json")
+        return tmp_path / "A.json"
+    return tmp_path / "out.csv" if arg is PATH else arg
+
+
+def _call(name, args, tmp_path, callables=CALLABLES, **change):
+    fn = callables[name]
+    bound = inspect.signature(fn).bind(*(_arg(arg, tmp_path) for arg in args))
     bound.arguments.update(change)
     result = fn(*bound.args, **bound.kwargs)
-    writes = any(arg is PATH for arg in VALID_CALLS[name])
+    writes = any(arg is PATH for arg in args)
     return (tmp_path / "out.csv").read_text() if writes else result
 
 
@@ -114,8 +131,8 @@ def _same(x, y) -> bool:
     return type(x) is type(y) and (x == y or (x != x and y != y))
 
 
-def _param_value(name, param):
-    bound = inspect.signature(CALLABLES[name]).bind(*VALID_CALLS[name])
+def _param_value(name, param, callables=CALLABLES, valid_calls=VALID_CALLS):
+    bound = inspect.signature(callables[name]).bind(*valid_calls[name])
     return bound.arguments[param]
 
 
@@ -138,6 +155,77 @@ def test_numpy_integer_gives_the_result_of_the_int(tmp_path, name, param, numpy_
 def test_numpy_q_of_one_builds_the_one_digit_grid():
     # a q kept as np.uint8(1) wraps q - 2 to 255 steps, which run out of memory at N = 3
     assert _same(gwalsh.grid_matrix(A, np.uint8(1)), gwalsh.grid_matrix(A, 1))
+
+
+REAL_VALID_CALLS = {
+    "WalshMatrix": (3, A.entries, 1e-10),
+    "dirichlet_kernel": (A, 2, 0.1, 0.15),
+    "generate_n3": (0.4,),
+    "load_matrix": (A_FILE, 1e-8),
+    "m_eval": (A, 1, 0.5),
+    "pairing_check_basis": (A, B, 2, 1e-8),
+    "pairing_check_rows": (A, B, 1e-8),
+    "r_map": (0.3, 3),
+    "solve_companion": (A, 0.2),
+    "solve_companion_numeric": (A, None, 2, 1e-10),
+    "validate": (A.entries, 1e-10),
+    "walsh_eval": (A, 5, 0.3),
+}
+
+# reports whose float fields gwalsh fills in: outputs, which no caller passes in
+REAL_LEFT_OUT = {
+    "ExchangeTranscript": "max_error, of the transcript that run_exchange returns",
+    "MartingaleReport": "the residuals that martingale_check returns",
+    "NormBoundReport": "the ratios that norm_bound_check returns",
+    "PairingReport": "worst_residual, of the report the pairing checks return",
+    "PartialSumReport": "the errors that partial_sum and convergence_sweep return",
+}
+
+# the values each float parameter rejects, and those each tolerance also rejects
+BAD_REALS = {"bool": lambda v: True, "str": str, "none": lambda v: None,
+             "nan": lambda v: math.nan, "inf": lambda v: math.inf, "long-int": lambda v: 10**5000}
+BAD_TOLS = {"zero": lambda v: 0, "negative": lambda v: -1}
+
+
+def _float_parameters(fn) -> dict[str, str]:
+    """Each parameter annotated ``float`` or ``float | None``, with its annotation."""
+    return {p.name: p.annotation for p in inspect.signature(fn).parameters.values()
+            if p.annotation in ("float", "float | None")}
+
+
+REAL_CALLABLES = {name: fn for name, fn in _public_callables() if _float_parameters(fn)}
+REAL_PARAMS = [(name, param) for name in REAL_VALID_CALLS
+               for param in _float_parameters(REAL_CALLABLES[name])]
+REAL_CASES = [(name, param, bad) for name, param in REAL_PARAMS
+              for bad in [*BAD_REALS, *(BAD_TOLS if param == "tol" else ())]
+              # None is a value of a float | None parameter: load_matrix's, the file's tol
+              if not (bad == "none"
+                      and _float_parameters(REAL_CALLABLES[name])[param] == "float | None")]
+
+
+def test_every_callable_with_a_float_parameter_is_swept():
+    assert set(REAL_VALID_CALLS) | set(REAL_LEFT_OUT) == set(REAL_CALLABLES)
+    assert not set(REAL_VALID_CALLS) & set(REAL_LEFT_OUT)
+    assert len(REAL_PARAMS) == 13
+
+
+@pytest.mark.parametrize("name,param,bad", REAL_CASES,
+                         ids=[f"{n}-{p}-{b}" for n, p, b in REAL_CASES])
+def test_other_reals_raise_validation_error(tmp_path, name, param, bad):
+    value = {**BAD_REALS, **BAD_TOLS}[bad](
+        _param_value(name, param, REAL_CALLABLES, REAL_VALID_CALLS))
+    with pytest.raises(ValidationError):
+        _call(name, REAL_VALID_CALLS[name], tmp_path, REAL_CALLABLES, **{param: value})
+
+
+@pytest.mark.parametrize("name,param", REAL_PARAMS, ids=[f"{n}-{p}" for n, p in REAL_PARAMS])
+@pytest.mark.parametrize("numpy_type", [np.float64, np.float32])
+@pytest.mark.filterwarnings("error")  # a float32 compared with the largest float warns
+def test_numpy_real_gives_the_result_of_the_float(tmp_path, name, param, numpy_type):
+    value = numpy_type(_param_value(name, param, REAL_CALLABLES, REAL_VALID_CALLS))
+    args = REAL_VALID_CALLS[name]
+    expected = _call(name, args, tmp_path, REAL_CALLABLES, **{param: float(value)})
+    assert _same(_call(name, args, tmp_path, REAL_CALLABLES, **{param: value}), expected)
 
 
 def test_every_export_states_its_contract():

@@ -280,6 +280,22 @@ class TestConvergenceSweep:
         want = per_k_sweep(load_matrix(a_path), read_signal(f_path), README_K_LIST, 6)
         assert Path(out).read_text() == sweep_to_csv(want)
 
+    @pytest.mark.parametrize("signal,k_list,least", [
+        ("signal_f", README_K_LIST, 6),
+        ("signal_f", [5, 9], 3),  # the signal's own q beats W_8's resolution 2
+        ("signal_f", [9, 81], 4),  # the largest k a power of N: W_80 has 4 digits
+        ("dyadic_step", [36, 60], 4),  # cross base: W_n's resolution alone
+        ("dyadic_step", [1], 1),
+    ], ids=["readme", "signal-q", "power-of-n", "cross-base", "k-one"])
+    def test_default_q_eval_is_the_least_that_passes(self, request, matrix_a, signal, k_list,
+                                                     least):
+        s = request.getfixturevalue(signal)
+        reports = convergence_sweep(matrix_a, s, k_list)
+        assert {r.q_eval for r in reports} == {least}
+        assert sweep_to_csv(reports) == sweep_to_csv(convergence_sweep(matrix_a, s, k_list, least))
+        with pytest.raises(ResolutionTooCoarseError):
+            convergence_sweep(matrix_a, s, k_list, least - 1)
+
     @pytest.mark.parametrize("k_list,syntheses", [
         (README_K_LIST, 8), ([1, 27, 729], 2), ([729, 728], 1), ([729], 0),
     ])
